@@ -152,9 +152,12 @@ def _require(cp, section, key):
 def _require_float(cp, section, key):
     raw = _require(cp, section, key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 def _require_int(cp, section, key):
@@ -187,6 +190,8 @@ def _float_list(raw, section, key):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number list") from exc
     if not vals:
         raise ConfigError(f"[{section}] {key} must not be empty")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"[{section}] {key} = {raw!r} has a non-finite entry")
     return vals
 
 

@@ -6,6 +6,13 @@ so every step is exactly unitary and the global error is second order in
 the step size.  Accuracy is controlled by step doubling until two
 successive resolutions agree to a configured tolerance.
 
+The state at every grid point (needed for the dynamical-phase integral)
+comes from a blocked prefix product of the step unitaries: the products
+of fixed-size blocks are formed at once by a pairwise tree, one short loop
+carries the state across block starts, and all blocks then step forward
+side by side.  The same whole-array code serves the 2x2 single-qubit and
+eigenblock chains and the dense 4x4 chain.
+
 Also provided: a closed-form rotating-frame solution for the NMR-style
 drive (used as an independent oracle), a classical Bloch-equation
 integrator for cross-validation, and exact block / dense propagation of
@@ -141,14 +148,50 @@ def _step_unitaries(sample, ts):
     return expm_pauli(b, 0.5 * dts)
 
 
+# Steps per block of the blocked chain in ``_apply_chain``.
+_CHAIN_BLOCK = 128
+
+
+def _stacked_matmul(a, c):
+    """a @ c over stacks of small matrices, as d broadcast multiply-adds.
+
+    numpy's matmul runs its inner loop once per 2x2 matrix, which makes it
+    several times slower than whole-array arithmetic at this size.
+    """
+    out = a[..., :, :1] * c[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j : j + 1] * c[..., j : j + 1, :]
+    return out
+
+
 def _apply_chain(us, psi0):
-    n = us.shape[0]
-    states = np.empty((n + 1, psi0.shape[0]), dtype=complex)
+    """States psi_k = us[k-1] @ ... @ us[0] @ psi0 for k = 0..n.
+
+    Blocked prefix product, for any state dimension d.  The steps are cut
+    into blocks of ``_CHAIN_BLOCK``; the products of all blocks but the
+    last (which are all full) are formed at once by a pairwise tree; one
+    short loop carries the state across block starts; then every block
+    steps its own state forward side by side, one column at a time.
+    Column i of the blocks is the strided view us[i::block], so only the
+    last block is short and ``us`` is never padded or copied.
+    """
+    n, d = us.shape[0], psi0.shape[0]
+    b = _CHAIN_BLOCK
+    nblk = -(-n // b)
+    states = np.empty((n + 1, d), dtype=complex)
     states[0] = psi0
-    psi = psi0
-    for k in range(n):
-        psi = us[k] @ psi
-        states[k + 1] = psi
+    prods = us[: (nblk - 1) * b].reshape(nblk - 1, b, d, d)
+    while prods.shape[1] > 1:
+        prods = _stacked_matmul(prods[:, 1::2], prods[:, 0::2])
+    starts = np.empty((nblk, d), dtype=complex)
+    starts[0] = psi0
+    for j in range(nblk - 1):
+        starts[j + 1] = prods[j, 0] @ starts[j]
+    psi = starts[..., None]
+    for i in range(min(b, n)):
+        col = us[i::b]
+        psi = _stacked_matmul(col, psi[: col.shape[0]])
+        states[i + 1 :: b] = psi[..., 0]
     return states
 
 
@@ -156,14 +199,9 @@ def _chain_product(us):
     """Ordered product us[n-1] @ ... @ us[0] via pairwise tree reduction."""
     m = us
     while m.shape[0] > 1:
-        if m.shape[0] % 2 == 1:
-            head, rest = m[:1], m[1:]
-        else:
-            head, rest = m[:0], m
-        paired = rest.reshape(-1, 2, *rest.shape[1:])
-        m = np.concatenate([head, paired[:, 1] @ paired[:, 0]]) if head.shape[0] else (
-            paired[:, 1] @ paired[:, 0]
-        )
+        odd = m.shape[0] % 2
+        paired = _stacked_matmul(m[odd + 1 :: 2], m[odd::2])
+        m = np.concatenate([m[:1], paired]) if odd else paired
     return m[0]
 
 
@@ -413,10 +451,7 @@ def propagate_two_qubit(
         return ts, states
 
     def package(ts_c, states_c):
-        nc = np.empty((len(ts_c), 3))
-        nt = np.empty((len(ts_c), 3))
-        for i in range(len(ts_c)):
-            nc[i], nt[i] = reduced_bloch(states_c[i])
+        nc, nt = reduced_bloch(states_c)
         return Trajectory(ts_c, states_c, np.stack([nc, nt], axis=1), model.label)
 
     steps = cfg.steps_per_period

@@ -125,20 +125,25 @@ def expm_pauli(b, s):
     -------
     ndarray, shape (..., 2, 2)
         cos(s|b|) I + i sin(s|b|) (bhat . sigma), exactly unitary up to
-        rounding. b = 0 yields the identity for any s.
+        rounding. b = 0 yields the identity for any s.  The four entries
+        are filled directly: with c = cos(s|b|) and k = sin(s|b|)/|b|,
+        U = [[c + i k b_z, k (b_y + i b_x)], [k (-b_y + i b_x), c - i k b_z]].
     """
     b = np.asarray(b, dtype=float)
     s = np.asarray(s, dtype=float)
     nb = np.linalg.norm(b, axis=-1)
     ang = s * nb
     safe = np.where(nb > 0.0, nb, 1.0)
-    unit = b / safe[..., None]
     c = np.cos(ang)
-    si = np.sin(ang)
-    u = c[..., None, None] * ID2 + 1j * si[..., None, None] * np.einsum(
-        "...k,kij->...ij", unit, PAULI
-    )
-    return u
+    kb = np.sin(ang)[..., None] * (b / safe[..., None])
+    kx, ky, kz = kb[..., 0], kb[..., 1], kb[..., 2]
+    # Real and imaginary parts of the four entries, side by side.
+    u = np.empty(c.shape + (2, 2, 2))
+    u[..., 0, 0, 0], u[..., 0, 0, 1] = c, kz
+    u[..., 0, 1, 0], u[..., 0, 1, 1] = ky, kx
+    u[..., 1, 0, 0], u[..., 1, 0, 1] = -ky, kx
+    u[..., 1, 1, 0], u[..., 1, 1, 1] = c, -kz
+    return u.view(complex)[..., 0]
 
 
 def kron(a, b):
@@ -183,16 +188,17 @@ def angle_dist(a, b):
 
 
 def reduced_bloch(psi4):
-    """Per-qubit Bloch vectors of a two-qubit pure state.
+    """Per-qubit Bloch vectors of two-qubit pure states.
 
-    Returns (n_control, n_target); entangled states give |n| < 1.
+    ``psi4`` has shape (..., 4); returns (n_control, n_target), each of
+    shape (..., 3).  Entangled states give |n| < 1.
     """
     psi4 = np.asarray(psi4, dtype=complex)
-    if psi4.shape != (4,):
-        raise ValueError(f"expected a length-4 state vector, got shape {psi4.shape}")
-    m = psi4.reshape(2, 2)
-    rho_c = m @ m.conj().T
-    rho_t = m.T @ m.conj()
-    nc = np.array([np.trace(rho_c @ p).real for p in PAULI])
-    nt = np.array([np.trace(rho_t @ p).real for p in PAULI])
+    if psi4.shape[-1:] != (4,):
+        raise ValueError(f"expected length-4 state vectors, got shape {psi4.shape}")
+    m = psi4.reshape(psi4.shape[:-1] + (2, 2))
+    rho_c = m @ m.conj().swapaxes(-1, -2)
+    rho_t = m.swapaxes(-1, -2) @ m.conj()
+    nc = np.einsum("...ij,kji->...k", rho_c, PAULI).real
+    nt = np.einsum("...ij,kji->...k", rho_t, PAULI).real
     return nc, nt

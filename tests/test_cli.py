@@ -88,6 +88,34 @@ def test_broken_config_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+def test_non_finite_config_exits_two(tmp_path, fast_ini, capsys):
+    cp = configparser.ConfigParser()
+    cp.read(fast_ini)
+    cp.set("fig1", "omega0", "nan")
+    bad = tmp_path / "nan.ini"
+    with open(bad, "w") as fh:
+        cp.write(fh)
+    rc = cli.main(["fig1b", "--config", str(bad), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "omega0" in err and "not finite" in err
+
+
+def test_defect_columns_are_nonnegative(tmp_path, fast_ini):
+    out = tmp_path / "out"
+    assert cli.main(["fig1b", "--config", str(fast_ini), "--out", str(out), "--format", "json"]) == 0
+    assert cli.main(["fig2c", "--config", str(fast_ini), "--out", str(out), "--format", "json"]) == 0
+    seen = 0
+    for name in ("fig1b", "fig2c", "fig2c_inset"):
+        columns = json.loads((out / f"{name}.json").read_text())["columns"]
+        for key, values in columns.items():
+            if key.startswith("defect") or key == "cyclicity_defect":
+                assert min(values) >= 0.0, (name, key, min(values))
+                seen += 1
+    assert seen == 4
+
+
 def test_gate_subcommand_success_and_failure(tmp_path, fast_ini, capsys):
     spec = {
         "platform": "nmr",

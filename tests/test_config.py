@@ -70,6 +70,21 @@ def test_non_numeric_value_raises(tmp_path):
         config.load_config(path)
 
 
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [
+        ("fig1", "omega0", "nan"),
+        ("fig2", "e1", "inf"),
+        ("fig1", "tau_max", "-inf"),
+        ("verify", "rotation_angles", "0.0 nan"),
+    ],
+)
+def test_non_finite_value_raises(tmp_path, section, key, raw):
+    path = _write_modified(tmp_path, lambda cp: cp.set(section, key, raw))
+    with pytest.raises(config.ConfigError, match=key):
+        config.load_config(path)
+
+
 def test_bad_grid_bounds_raise(tmp_path):
     def mutate(cp):
         cp.set("fig1", "tau_min", "50.0")

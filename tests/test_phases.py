@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geomgates import fields, pauli, phases
+from geomgates import evolve, fields, pauli, phases
 
 P = fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1)
 JP = fields.JosephsonParams(
@@ -73,6 +73,18 @@ def test_decompose_flags_noncyclic_state(quick):
     d = phases.decompose(s, pauli.KET0, quick)
     assert not d.valid
     assert d.cyclicity_defect > 1e-3
+
+
+def test_decompose_nonconvergence_names_both_criteria():
+    s = fields.nmr_schedule(P)
+    cfg = evolve.PropagatorConfig(
+        steps_per_period=16, method="midpoint", tolerance=1e-300, max_refinements=2
+    )
+    with pytest.raises(evolve.NonConvergenceError) as info:
+        phases.decompose(s, pauli.KET0, cfg, quad_tol=1e-300, quad_rtol=0.0)
+    msg = str(info.value)
+    assert "state change" in msg and "bound 1e-300" in msg
+    assert "dynamical-phase change" in msg and "rad (bound 1e-300 rad)" in msg
 
 
 def test_dynamical_phase_static_field(accurate):
