@@ -55,7 +55,6 @@ from .gates import (  # noqa: F401
     gate_fidelity,
     noncommutable,
     nontrivial_two_qubit,
-    reconstruct_gate_from_runs,
     synthesize_double_loop,
 )
 from .pauli import (  # noqa: F401

@@ -4,7 +4,7 @@ Subcommands reproduce the shipped experiment presets (``fig1a``,
 ``fig1b``, ``fig2b``, ``fig2c``, ``sweep``), run the verification suite
 (``verify``), or synthesize a single echoed gate from a JSON description
 (``gate``).  Exit status: 0 on success, 1 when an asserted check fails,
-2 on configuration errors.
+2 on configuration errors and when the integrator does not converge.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__, experiments
 from .config import ConfigError, load_config
+from .evolve import NonConvergenceError
 
 _SUBCOMMANDS = (
     ("fig1a", "conditional phases vs operation time, static z field"),
@@ -129,6 +130,9 @@ def main(argv=None) -> int:
             return 0 if ok else 1
     except ConfigError as exc:
         print(f"geomgates: config error: {exc}", file=sys.stderr)
+        return 2
+    except NonConvergenceError as exc:
+        print(f"geomgates: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -3,8 +3,8 @@
 Physical parameters (field amplitudes, junction energies, cone angles,
 sweep end points) must be stated explicitly in the file: there are no
 in-code fallbacks for them, so every exported figure is reproducible from
-its config alone.  Only numerical knobs (step counts, tolerances, method)
-carry defaults, and those can be overridden per run.
+its config alone.  Only numerical knobs (step counts, tolerance, refinement
+cap) carry defaults, and those can be overridden per run.
 
 The packaged ``configs/default.ini`` documents every key.
 """
@@ -119,15 +119,13 @@ class Config:
     sweep: SweepConfig
     verify: VerifyConfig
 
-    def with_numerics(self, steps=None, tol=None, method=None) -> "Config":
+    def with_numerics(self, steps=None, tol=None) -> "Config":
         """Copy with CLI-level numerical overrides applied."""
         kw = {}
         if steps is not None:
             kw["steps_per_period"] = int(steps)
         if tol is not None:
             kw["tolerance"] = float(tol)
-        if method is not None:
-            kw["method"] = method
         if not kw:
             return self
         try:
@@ -201,19 +199,14 @@ def _propagator(cp) -> PropagatorConfig:
     if cp.has_section(sec):
         if cp.has_option(sec, "steps_per_period"):
             kw["steps_per_period"] = _require_int(cp, sec, "steps_per_period")
-        if cp.has_option(sec, "method"):
-            kw["method"] = cp.get(sec, "method").strip()
         if cp.has_option(sec, "tolerance"):
             kw["tolerance"] = _require_float(cp, sec, "tolerance")
         if cp.has_option(sec, "max_refinements"):
             kw["max_refinements"] = _require_int(cp, sec, "max_refinements")
     try:
-        prop = PropagatorConfig(**kw)
+        return PropagatorConfig(**kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not prop.tolerance > 0.0:
-        raise ConfigError("tolerance must be positive")
-    return prop
 
 
 def load_config(path=None) -> Config:

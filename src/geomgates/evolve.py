@@ -1,10 +1,16 @@
 """Time evolution under field schedules.
 
-The workhorse is a midpoint-exponential stepper: each step applies the
-closed-form Pauli exponential of the field sampled at the step midpoint,
-so every step is exactly unitary and the global error is second order in
-the step size.  Accuracy is controlled by step doubling until two
-successive resolutions agree to a configured tolerance.
+The stepper is the fourth-order commutator-free Magnus scheme CF4
+(Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske,
+J. Comput. Phys. 230, 5930 (2011)): each step samples the field at its
+two Gauss nodes and applies two closed-form Pauli exponentials of fixed
+linear combinations of the samples.  Every step is exactly unitary and
+the global error is fourth order in the step size.
+
+Accuracy is controlled by one step-doubling driver, ``refine``: it runs a
+fixed-resolution pass per rung, doubling the steps, until two successive
+rungs agree on every criterion the caller names, and reports the last
+change of each criterion when the rung cap is reached.
 
 The state at every grid point (needed for the dynamical-phase integral)
 comes from a blocked prefix product of the step unitaries: the products
@@ -44,8 +50,6 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-_METHODS = ("midpoint", "richardson")
-
 
 class NonConvergenceError(RuntimeError):
     """Step doubling hit the refinement cap without meeting tolerance."""
@@ -56,14 +60,12 @@ class PropagatorConfig:
     """Numerical controls for the steppers.
 
     steps_per_period : base number of steps per schedule period (>= 16)
-    method           : 'midpoint' or 'richardson' (midpoint plus one
-                       extrapolation pass; states renormalized)
     tolerance        : max state-component change between refinements
+                       (finite and positive)
     max_refinements  : doublings allowed before giving up
     """
 
     steps_per_period: int = 4096
-    method: str = "midpoint"
     tolerance: float = 1e-10
     max_refinements: int = 12
 
@@ -72,12 +74,54 @@ class PropagatorConfig:
             raise ValueError(
                 f"steps_per_period must be at least 16, got {self.steps_per_period}"
             )
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_refinements < 0:
             raise ValueError("max_refinements must be non-negative")
+
+
+def refine(run, criteria, cfg: PropagatorConfig, what):
+    """Step doubling: the finer result of the first two rungs that agree.
+
+    ``run(steps)`` computes one fixed-resolution rung at ``steps`` steps per
+    period, starting from ``cfg.steps_per_period`` and doubling up to
+    ``cfg.max_refinements`` times.  ``criteria(prev, cur)`` compares two
+    successive rungs and returns (name, change, bound, unit) per
+    criterion; the pair is accepted once every change is within its bound.
+
+    Raises
+    ------
+    NonConvergenceError
+        Naming ``what`` and every criterion with its last change and bound.
+    """
+    steps = cfg.steps_per_period
+    prev = run(steps)
+    last = ()
+    for _ in range(cfg.max_refinements):
+        steps *= 2
+        cur = run(steps)
+        last = criteria(prev, cur)
+        if all(change <= bound for _, change, bound, _ in last):
+            return cur
+        prev = cur
+    changes = ", ".join(
+        f"last {name} change {change:.3g}{unit} (bound {bound:.3g}{unit})"
+        for name, change, bound, unit in last
+    )
+    raise NonConvergenceError(
+        f"{what} did not converge after {cfg.max_refinements} refinements "
+        f"(last step count {steps}): {changes or 'no rung pair compared'}"
+    )
+
+
+def _state_change(a, b, cfg: PropagatorConfig, name="state"):
+    """Criterion: largest component change between two rungs' results."""
+    return (name, float(np.max(np.abs(b - a))), cfg.tolerance, "")
+
+
+def _last_row_change(cfg: PropagatorConfig, name="state"):
+    """Criteria on the last rows of two (grid, rows) rungs."""
+    return lambda a, b: [_state_change(a[1][-1], b[1][-1], cfg, name)]
 
 
 @dataclass(frozen=True)
@@ -137,15 +181,30 @@ def time_grid(s: FieldSchedule, steps_per_period):
     return np.concatenate(segs)
 
 
-def _step_unitaries(sample, ts):
-    """Midpoint-rule step unitaries for H = -(1/2) B . sigma.
+# CF4 Gauss-node offsets (fractions of the step) and combination weights.
+_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+_A1, _A2 = 0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0
 
-    exp(-i H dt) = exp(+i (dt/2) B . sigma), built in closed form.
-    """
-    mids = 0.5 * (ts[:-1] + ts[1:])
+
+def _gauss_nodes(ts):
+    """Gauss-node times of every step, shape (2, n), and the step sizes."""
     dts = np.diff(ts)
-    b = np.asarray(sample(mids), dtype=float)
-    return expm_pauli(b, 0.5 * dts)
+    return np.stack([ts[:-1] + c * dts for c in _NODES]), dts
+
+
+def _step_unitaries(sample, ts):
+    """CF4 step unitaries for H = -(1/2) B . sigma.
+
+    With B1, B2 the field at the step's Gauss nodes, the step is
+    exp(-i h (a1 H1 + a2 H2)) exp(-i h (a2 H1 + a1 H2)); the right factor,
+    weighted towards B1, acts first.  Each factor is
+    exp(+i (h/2) B' . sigma) in closed form.
+    """
+    nodes, dts = _gauss_nodes(ts)
+    b1, b2 = np.asarray(sample(nodes), dtype=float)
+    first = expm_pauli(_A2 * b1 + _A1 * b2, 0.5 * dts)
+    second = expm_pauli(_A1 * b1 + _A2 * b2, 0.5 * dts)
+    return _stacked_matmul(second, first)
 
 
 # Steps per block of the blocked chain in ``_apply_chain``.
@@ -206,9 +265,16 @@ def _chain_product(us):
 
 
 def _fixed_states(s: FieldSchedule, psi0, steps_per_period):
+    """One rung: grid and states, each row renormalized once.
+
+    Products of many near-identity steps drift off the unit sphere by a
+    rounding error that grows with the step count; one renormalization
+    per rung removes it.
+    """
     ts = time_grid(s, steps_per_period)
-    us = _step_unitaries(s.sample, ts)
-    return ts, _apply_chain(us, psi0)
+    states = _apply_chain(_step_unitaries(s.sample, ts), psi0)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return ts, states
 
 
 def _bloch_rows(states):
@@ -232,9 +298,8 @@ def propagate(s: FieldSchedule, psi0, cfg: PropagatorConfig | None = None) -> Tr
     Returns
     -------
     Trajectory
-        States on the converged grid; with method 'richardson' the states
-        are the renormalized (4 f - c)/3 combination of the two finest
-        resolutions, reported on the coarser of the two grids.
+        States on the grid of the finer of the first two successive
+        resolutions whose final states agree within cfg.tolerance.
 
     Raises
     ------
@@ -244,68 +309,27 @@ def propagate(s: FieldSchedule, psi0, cfg: PropagatorConfig | None = None) -> Tr
     cfg = cfg or PropagatorConfig()
     psi0 = np.asarray(psi0, dtype=complex)
     pauli.assert_normalized(psi0)
-
-    steps = cfg.steps_per_period
-    ts, states = _fixed_states(s, psi0, steps)
-    prev_extr = None
-    for _ in range(cfg.max_refinements):
-        ts2, states2 = _fixed_states(s, psi0, steps * 2)
-        if cfg.method == "richardson":
-            # fourth-order combination reported on the coarser grid
-            extr = (4.0 * states2[::2] - states) / 3.0
-            extr /= np.linalg.norm(extr, axis=1)[:, None]
-            if prev_extr is not None:
-                diff = float(np.max(np.abs(extr[-1] - prev_extr[-1])))
-                if diff <= cfg.tolerance:
-                    return Trajectory(ts, extr, _bloch_rows(extr), s.label)
-            prev_extr = extr
-        else:
-            diff = float(np.max(np.abs(states2[-1] - states[-1])))
-            if diff <= cfg.tolerance:
-                return Trajectory(ts2, states2, _bloch_rows(states2), s.label)
-        ts, states = ts2, states2
-        steps *= 2
-    raise NonConvergenceError(
-        f"no convergence to {cfg.tolerance:g} after {cfg.max_refinements} refinements "
-        f"(last step count {steps})"
+    ts, states = refine(
+        lambda steps: _fixed_states(s, psi0, steps), _last_row_change(cfg), cfg, "propagation"
     )
+    return Trajectory(ts, states, _bloch_rows(states), s.label)
 
 
 def total_unitary(s: FieldSchedule, cfg: PropagatorConfig | None = None):
     """Full-duration propagator matrix, step-doubled like ``propagate``.
 
     Uses a pairwise product tree, so no per-step state storage; convergence
-    is judged on the matrix entries.  With ``method="richardson"`` the
-    fourth-order combination of successive rungs is compared instead, and
-    the returned matrix is projected back onto the unitary group.
+    is judged on the matrix entries.  The converged matrix is projected
+    back onto the unitary group, which removes the rounding drift of the
+    long product.
     """
     cfg = cfg or PropagatorConfig()
-    steps = cfg.steps_per_period
 
-    def one(n):
-        ts = time_grid(s, n)
-        return _chain_product(_step_unitaries(s.sample, ts))
+    def run(steps):
+        return _chain_product(_step_unitaries(s.sample, time_grid(s, steps)))
 
-    u = one(steps)
-    prev_extr = None
-    for _ in range(cfg.max_refinements):
-        u2 = one(steps * 2)
-        if cfg.method == "richardson":
-            extr = (4.0 * u2 - u) / 3.0
-            if prev_extr is not None:
-                diff = float(np.max(np.abs(extr - prev_extr)))
-                if diff <= cfg.tolerance:
-                    return _unitary_projection(extr)
-            prev_extr = extr
-        else:
-            diff = float(np.max(np.abs(u2 - u)))
-            if diff <= cfg.tolerance:
-                return u2
-        u = u2
-        steps *= 2
-    raise NonConvergenceError(
-        f"no convergence to {cfg.tolerance:g} after {cfg.max_refinements} refinements"
-    )
+    u = refine(run, lambda a, b: [_state_change(a, b, cfg, "matrix")], cfg, "total unitary")
+    return _unitary_projection(u)
 
 
 def _unitary_projection(m):
@@ -376,34 +400,36 @@ def bloch_integrate(s: FieldSchedule, n0, cfg: PropagatorConfig | None = None) -
 
     The sign convention matches H = -(1/2) B . sigma: the quantum Bloch
     vector of ``propagate`` and this integrator agree.  Steps are exact
-    rotations about the midpoint field, renormalized each step.
+    rotations about the midpoint field, renormalized each step, so this
+    reference is second order, independent of the CF4 stepper.
     """
     cfg = cfg or PropagatorConfig()
     n0 = np.asarray(n0, dtype=float)
     if abs(np.linalg.norm(n0) - 1.0) > 1e-8:
         raise ValueError("initial Bloch vector must be unit length")
 
-    steps = cfg.steps_per_period
-    ts, path = _fixed_bloch(s, n0, steps)
-    for _ in range(cfg.max_refinements):
-        ts2, path2 = _fixed_bloch(s, n0, steps * 2)
-        diff = float(np.max(np.abs(path2[-1] - path[-1])))
-        if diff <= cfg.tolerance:
-            return Trajectory(ts2, None, path2, s.label)
-        ts, path = ts2, path2
-        steps *= 2
-    raise NonConvergenceError(
-        f"Bloch integration did not converge to {cfg.tolerance:g}"
+    ts, path = refine(
+        lambda steps: _fixed_bloch(s, n0, steps),
+        _last_row_change(cfg, "Bloch vector"),
+        cfg,
+        "Bloch integration",
     )
+    return Trajectory(ts, None, path, s.label)
 
 
 def _dense_step_unitaries(model: TwoQubitModel, ts):
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    dts = np.diff(ts)
-    h = model.h4(mids)
-    w, v = np.linalg.eigh(h)
+    """CF4 step unitaries of the full 4x4 Hamiltonian (fourth order).
+
+    The same two-exponential scheme as ``_step_unitaries``, with each
+    factor exp(-i h H') taken by Hermitian eigendecomposition; independent
+    of the closed-form 2x2 route, so it cross-checks the eigenblock path.
+    """
+    nodes, dts = _gauss_nodes(ts)
+    h1, h2 = model.h4(nodes)
+    w, v = np.linalg.eigh(np.stack([_A2 * h1 + _A1 * h2, _A1 * h1 + _A2 * h2]))
     phases = np.exp(-1j * w * dts[:, None])
-    return np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
+    first, second = np.einsum("snij,snj,snkj->snik", v, phases, v.conj())
+    return _stacked_matmul(second, first)
 
 
 def propagate_two_qubit(
@@ -417,9 +443,9 @@ def propagate_two_qubit(
     method 'block' uses the exact sz(x)I eigenblock decomposition (each
     block is a 2x2 problem driven by the conditional schedule plus a scalar
     control energy); it requires an undriven control.  method 'dense'
-    exponentiates the full 4x4 Hamiltonian at step midpoints via Hermitian
-    eigendecomposition and works for every model; it serves as the
-    independent cross-check of the block path.
+    takes the same fourth-order steps on the full 4x4 Hamiltonian via
+    Hermitian eigendecomposition and works for every model; it serves as
+    the independent cross-check of the block path.
     """
     cfg = cfg or PropagatorConfig()
     psi0 = np.asarray(psi0, dtype=complex)
@@ -434,48 +460,25 @@ def propagate_two_qubit(
     def run(steps):
         if method == "dense":
             ts = time_grid(model.target, steps)
-            us = _dense_step_unitaries(model, ts)
-            return ts, _apply_chain(us, psi0)
-        ts = None
-        states = None
-        for delta in (0, 1):
-            sched = model.block_schedule(delta)
-            ts_d = time_grid(sched, steps)
-            us = _step_unitaries(sched.sample, ts_d)
-            block = _apply_chain(us, psi0[2 * delta : 2 * delta + 2])
-            phase = np.exp(-1j * model.block_energy(delta) * ts_d)
-            if states is None:
-                ts = ts_d
-                states = np.empty((len(ts_d), 4), dtype=complex)
-            states[:, 2 * delta : 2 * delta + 2] = phase[:, None] * block
+            states = _apply_chain(_dense_step_unitaries(model, ts), psi0)
+        else:
+            blocks = []
+            for delta in (0, 1):
+                sched = model.block_schedule(delta)
+                ts = time_grid(sched, steps)
+                us = _step_unitaries(sched.sample, ts)
+                # blocks carry unnormalized (possibly zero) parts of psi0
+                block = _apply_chain(us, psi0[2 * delta : 2 * delta + 2])
+                phase = np.exp(-1j * model.block_energy(delta) * ts)
+                blocks.append(phase[:, None] * block)
+            states = np.concatenate(blocks, axis=1)
+        # once per rung, on full rows only: see ``_fixed_states``
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
         return ts, states
 
-    def package(ts_c, states_c):
-        nc, nt = reduced_bloch(states_c)
-        return Trajectory(ts_c, states_c, np.stack([nc, nt], axis=1), model.label)
-
-    steps = cfg.steps_per_period
-    ts, states = run(steps)
-    prev_extr = None
-    for _ in range(cfg.max_refinements):
-        ts2, states2 = run(steps * 2)
-        if cfg.method == "richardson":
-            extr = (4.0 * states2[::2] - states) / 3.0
-            extr /= np.linalg.norm(extr, axis=1)[:, None]
-            if prev_extr is not None:
-                diff = float(np.max(np.abs(extr[-1] - prev_extr[-1])))
-                if diff <= cfg.tolerance:
-                    return package(ts, extr)
-            prev_extr = extr
-        else:
-            diff = float(np.max(np.abs(states2[-1] - states[-1])))
-            if diff <= cfg.tolerance:
-                return package(ts2, states2)
-        ts, states = ts2, states2
-        steps *= 2
-    raise NonConvergenceError(
-        f"two-qubit propagation did not converge to {cfg.tolerance:g}"
-    )
+    ts, states = refine(run, _last_row_change(cfg), cfg, "two-qubit propagation")
+    nc, nt = reduced_bloch(states)
+    return Trajectory(ts, states, np.stack([nc, nt], axis=1), model.label)
 
 
 def trajectory_to_csv(traj: Trajectory, path, params=None):

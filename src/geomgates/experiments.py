@@ -65,7 +65,6 @@ _BASIS = {0: KET0, 1: KET1}
 def _numerics_meta(prop: PropagatorConfig):
     return {
         "steps_per_period": prop.steps_per_period,
-        "method": prop.method,
         "tolerance": prop.tolerance,
     }
 
@@ -210,7 +209,7 @@ def tau0_candidates(f: Fig2Config):
     }
 
 
-def fig2_field_trace(cfg: Config, prop: PropagatorConfig | None = None):
+def fig2_field_trace(cfg: Config):
     """One period of the designed charge-qubit field, densely sampled."""
     f = cfg.fig2
     tau0 = tau0_candidates(f)["ej_avg"]
@@ -235,8 +234,8 @@ def fig2_field_trace(cfg: Config, prop: PropagatorConfig | None = None):
     return params, columns
 
 
-def run_fig2b(cfg: Config, out_dir, fmt="csv", prop=None):
-    params, columns = fig2_field_trace(cfg, prop)
+def run_fig2b(cfg: Config, out_dir, fmt="csv"):
+    params, columns = fig2_field_trace(cfg)
     return _write(out_dir, "fig2b", fmt, params, columns)
 
 
@@ -511,6 +510,8 @@ def run_gate(cfg: Config, spec_path, out_dir, fmt="json", prop=None):
         doc = json.loads(spec_path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"gate spec is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("gate spec must be a JSON object")
     reversal = doc.get("reversal", "negated_reversed")
     if reversal not in REVERSAL_RULES:
         raise ConfigError(

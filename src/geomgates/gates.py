@@ -19,7 +19,13 @@ import numpy as np
 
 from . import evolve, pauli, phases
 from .csvio import write_json
-from .fields import FieldSchedule, concat, reversed_schedule
+from .fields import (
+    FieldSchedule,
+    concat,
+    negated_schedule,
+    reversed_schedule,
+    time_reversed_schedule,
+)
 
 __all__ = [
     "GateSpec",
@@ -33,7 +39,6 @@ __all__ = [
     "gate_fidelity",
     "align_phase",
     "max_aligned_deviation",
-    "reconstruct_gate_from_runs",
     "measured_loop_phase",
     "synthesize_double_loop",
     "REVERSAL_RULES",
@@ -145,45 +150,10 @@ def max_aligned_deviation(u, v):
     return float(np.max(np.abs(np.asarray(u, complex) - ph * np.asarray(v, complex))))
 
 
-def reconstruct_gate_from_runs(
-    s: FieldSchedule,
-    pair: phases.CyclicPair,
-    cfg: evolve.PropagatorConfig | None = None,
-    check_cyclic=True,
-):
-    """Assemble the realized gate by propagating the basis states.
-
-    The pair argument carries the cone angle of the protocol; when
-    ``check_cyclic`` is set the pair members are required to return on a
-    full loop (defect below 1e-6), which is the precondition for the
-    matrix to take the cone-gate form.
-    """
-    if check_cyclic:
-        defect = phases.verify_cyclic(s, pair, cfg)
-        if defect > 1e-6:
-            raise ValueError(
-                f"pair is not cyclic on this schedule (defect {defect:.3e})"
-            )
-    u = evolve.total_unitary(s, cfg)
-    return u
-
-
 def measured_loop_phase(s: FieldSchedule, pair: phases.CyclicPair, cfg=None):
     """Loop eigenphase of the psi_plus member: arg<psi_+|U|psi_+>."""
     fin = evolve.final_state(s, pair.psi_plus, cfg)
     return pauli.overlap_phase(pair.psi_plus, fin)
-
-
-def _time_reversed(s):
-    from .fields import time_reversed_schedule
-
-    return time_reversed_schedule(s)
-
-
-def _negated(s):
-    from .fields import negated_schedule
-
-    return negated_schedule(s)
 
 
 # Reversal rules for the second loop of the echo protocol.  The literal
@@ -191,8 +161,8 @@ def _negated(s):
 # in without touching the synthesis code.
 REVERSAL_RULES = {
     "negated_reversed": reversed_schedule,
-    "time_reversed": _time_reversed,
-    "negated": _negated,
+    "time_reversed": time_reversed_schedule,
+    "negated": negated_schedule,
 }
 
 

@@ -236,39 +236,14 @@ def decompose(
             valid=bool(defect <= cyclicity_threshold),
         )
 
-    def quad_bound(value):
-        return quad_tol + quad_rtol * abs(value)
+    def criteria(prev, cur):
+        bound = quad_tol + quad_rtol * abs(cur[1])
+        return [
+            evolve._state_change(prev[0], cur[0], cfg),
+            ("dynamical-phase", abs(cur[1] - prev[1]), bound, " rad"),
+        ]
 
-    steps = cfg.steps_per_period
-    fin, dyn = run(steps)
-    prev_extr = None
-    state_diff = quad_diff = quad_lim = np.nan
-    for _ in range(cfg.max_refinements):
-        fin2, dyn2 = run(steps * 2)
-        if cfg.method == "richardson":
-            fin_ex = (4.0 * fin2 - fin) / 3.0
-            fin_ex /= np.linalg.norm(fin_ex)
-            dyn_ex = (4.0 * dyn2 - dyn) / 3.0
-            if prev_extr is not None:
-                state_diff = float(np.max(np.abs(fin_ex - prev_extr[0])))
-                quad_diff = abs(dyn_ex - prev_extr[1])
-                quad_lim = quad_bound(dyn_ex)
-                if state_diff <= cfg.tolerance and quad_diff <= quad_lim:
-                    return package(fin_ex, dyn_ex)
-            prev_extr = (fin_ex, dyn_ex)
-        else:
-            state_diff = float(np.max(np.abs(fin2 - fin)))
-            quad_diff = abs(dyn2 - dyn)
-            quad_lim = quad_bound(dyn2)
-            if state_diff <= cfg.tolerance and quad_diff <= quad_lim:
-                return package(fin2, dyn2)
-        fin, dyn = fin2, dyn2
-        steps *= 2
-    raise evolve.NonConvergenceError(
-        f"phase decomposition did not converge after {cfg.max_refinements} refinements: "
-        f"last state change {state_diff:.3g} (bound {cfg.tolerance:g}), "
-        f"last dynamical-phase change {quad_diff:.3g} rad (bound {quad_lim:.3g} rad)"
-    )
+    return package(*evolve.refine(run, criteria, cfg, "phase decomposition"))
 
 
 def dynamical_phase(s: FieldSchedule, psi0, cfg=None, quad_tol=1e-9, quad_rtol=1e-11):

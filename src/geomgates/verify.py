@@ -17,13 +17,7 @@ import numpy as np
 
 from . import experiments, gates, pauli, phases
 from .config import Config
-from .evolve import (
-    PropagatorConfig,
-    final_state,
-    propagate,
-    rotating_frame_oracle,
-    total_unitary,
-)
+from .evolve import final_state, propagate, rotating_frame_oracle, total_unitary
 from .fields import (
     NmrParams,
     negated_schedule,
@@ -113,18 +107,13 @@ class VerificationReport:
         return {"passed": self.passed, "checks": [asdict(c) for c in self.checks]}
 
 
-def _accurate(prop: PropagatorConfig | None) -> PropagatorConfig:
-    prop = prop or PropagatorConfig()
-    return replace(prop, method="richardson")
-
-
 # ---------------------------------------------------------------------------
 # closed-form oracle vs stepper
 # ---------------------------------------------------------------------------
 
 def check_oracle_equivalence(cfg: Config, prop=None):
     """Stepper vs rotating-frame closed form over a two-decade drive grid."""
-    prop = _accurate(prop or cfg.propagator)
+    prop = prop or cfg.propagator
     grid = cfg.verify.oracle_grid.values()
     psi0 = state_of_angles(1.0, 0.5)
     worst_infid = 0.0
@@ -172,7 +161,7 @@ def _josephson_reference(cfg: Config, ratio=10.0):
 def check_cyclicity(cfg: Config, prop=None):
     """Both platforms' cyclic pairs really return after one loop; a wrong
     cone angle visibly does not (sensitivity control)."""
-    prop = _accurate(prop or cfg.propagator)
+    prop = prop or cfg.propagator
     out = []
 
     p = _nmr_reference(cfg)
@@ -221,7 +210,7 @@ def check_loop_phase_law(cfg: Config, prop=None):
     negative loop phase.  The designed charge drive runs clockwise, so
     there the aligned member carries the positive loop phase.
     """
-    prop = _accurate(prop or cfg.propagator)
+    prop = prop or cfg.propagator
     chis = cfg.verify.chi_grid.values()
 
     worst = 0.0
@@ -253,7 +242,7 @@ def check_loop_phase_law(cfg: Config, prop=None):
 
 def check_solid_angle_consistency(cfg: Config, prop=None):
     """The Bloch-path line integral agrees with total minus dynamical."""
-    prop = _accurate(prop or cfg.propagator)
+    prop = prop or cfg.propagator
     chis = cfg.verify.chi_grid.values()[::3]
     worst = 0.0
     runs = 0
@@ -281,7 +270,7 @@ def check_solid_angle_consistency(cfg: Config, prop=None):
 
 def check_antisymmetry(cfg: Config, prop=None):
     """Antipodal pair members acquire opposite geometric phases."""
-    prop = _accurate(prop or cfg.propagator)
+    prop = prop or cfg.propagator
     p = _nmr_reference(cfg)
     s = nmr_schedule(p)
     pair = phases.cyclic_pair_nmr(p)
@@ -304,7 +293,7 @@ def check_conditional_flatness(cfg: Config, prop=None):
     """With the z field locked to the drive (variant b), both conditional
     phases are time-independent: pi for control 0 and 3 pi / 4 for control 1
     per loop; doubled loops give (2 pi, 3 pi / 2)."""
-    _, columns = experiments.fig1_sweep(cfg, "b", _accurate(prop or cfg.propagator))
+    _, columns = experiments.fig1_sweep(cfg, "b", prop)
     cols = dict(columns)
     g0 = np.asarray(cols["gamma0_exact"])
     g1 = np.asarray(cols["gamma1_exact"])
@@ -404,7 +393,7 @@ def charge_figure_checks(main, inset):
 
 
 def check_charge_figure(cfg: Config, prop=None):
-    prop = _accurate(prop or cfg.propagator)
+    prop = prop or cfg.propagator
     main = experiments.fig2c_sweep(cfg, cfg.fig2.cos_chi0, prop)
     inset = experiments.fig2c_sweep(cfg, cfg.fig2.cos_chi0_inset, prop)
     return charge_figure_checks(main, inset)
@@ -420,7 +409,7 @@ def check_echo_cancellation(cfg: Config, prop=None):
     to the doubled-cone target are reported, quantifying that the literal
     echo rule inverts the whole first loop rather than doubling its
     geometric phase."""
-    prop = _accurate(prop or cfg.propagator)
+    prop = prop or cfg.propagator
     out = []
     f = cfg.fig1
     omega = f.omega0 / 4.0
@@ -559,7 +548,7 @@ def check_gate_algebra(cfg: Config, prop=None, seed=20240817, pairs=10_000, spec
 
 def check_block_exactness(cfg: Config, prop=None):
     """Dense 4x4 conditional totals equal the 2x2 eigenblock predictions."""
-    prop = _accurate(prop or cfg.propagator)
+    prop = prop or cfg.propagator
     f = cfg.fig1
     worst = 0.0
     runs = 0
@@ -594,7 +583,7 @@ def check_block_exactness(cfg: Config, prop=None):
 def check_rotation_invariance(cfg: Config, prop=None):
     """Rigidly rotating drive and initial state preserves the geometric
     phase while shifting the cone angle by exactly the rotation angle."""
-    prop = _accurate(prop or cfg.propagator)
+    prop = prop or cfg.propagator
     p = _nmr_reference(cfg)
     s = nmr_schedule(p)
     pair = phases.cyclic_pair_nmr(p)

@@ -12,12 +12,10 @@ def cfg():
 @pytest.fixture(scope="session")
 def quick():
     """Cheap fixed-order stepper for unit tests that only need ~1e-6."""
-    return PropagatorConfig(steps_per_period=512, method="midpoint", tolerance=1e-7)
+    return PropagatorConfig(steps_per_period=512, tolerance=1e-7)
 
 
 @pytest.fixture(scope="session")
 def accurate():
-    """Extrapolating stepper used wherever a tight tolerance is asserted."""
-    return PropagatorConfig(
-        steps_per_period=4096, method="richardson", tolerance=1e-10
-    )
+    """Packaged-default resolution, used wherever a tight tolerance is asserted."""
+    return PropagatorConfig(steps_per_period=4096, tolerance=1e-10)

@@ -28,7 +28,7 @@ def acc():
 
 @pytest.fixture(scope="module")
 def prop():
-    return PropagatorConfig(steps_per_period=4096, method="richardson", tolerance=1e-10)
+    return PropagatorConfig(steps_per_period=4096, tolerance=1e-10)
 
 
 def _settle(checks):

@@ -145,6 +145,41 @@ def test_gate_missing_spec_exits_two(tmp_path, fast_ini):
     assert rc == 2
 
 
+def test_gate_spec_not_an_object_exits_two(tmp_path, fast_ini, capsys):
+    spec = tmp_path / "list.json"
+    spec.write_text("[1, 2]")
+    rc = cli.main(["gate", str(spec), "--config", str(fast_ini), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "gate spec must be a JSON object" in err
+
+
+def test_infinite_tolerance_exits_two(tmp_path, fast_ini, capsys):
+    rc = cli.main(
+        ["fig1a", "--config", str(fast_ini), "--out", str(tmp_path), "--tol", "inf"]
+    )
+    assert rc == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_nonconvergence_exits_two_with_one_line(tmp_path, fast_ini, capsys):
+    cp = configparser.ConfigParser()
+    cp.read(fast_ini)
+    cp.set("numerics", "steps_per_period", "16")
+    cp.set("numerics", "tolerance", "1e-300")
+    cp.set("numerics", "max_refinements", "1")
+    ini = tmp_path / "strict.ini"
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    rc = cli.main(["fig1b", "--config", str(ini), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "did not converge after 1 refinements" in err
+    assert "bound 1e-300" in err
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["render"])

@@ -23,7 +23,7 @@ def test_default_config_loads_with_documented_values(cfg):
     assert cfg.fig1.tau_grid.points == 60
     assert cfg.fig2.e2 == 4.0 * cfg.fig2.e1
     assert abs(cfg.fig2.e_ch - 5.0 * (cfg.fig2.e1 + cfg.fig2.e2)) < 1e-12
-    assert cfg.propagator.method == "richardson"
+    assert cfg.propagator.tolerance == 1e-10
     assert cfg.verify.oracle_grid.points == 5
     assert len(cfg.verify.rotation_angles) == 3
     assert str(config.default_config_path()).endswith("default.ini")
@@ -100,11 +100,17 @@ def test_numerics_section_is_optional(tmp_path):
     assert loaded.propagator.steps_per_period >= 16
 
 
+def test_stale_method_key_is_ignored(tmp_path):
+    path = _write_modified(tmp_path, lambda cp: cp.set("numerics", "method", "richardson"))
+    loaded = config.load_config(path)
+    assert loaded.propagator == config.load_config().propagator
+
+
 def test_with_numerics_overrides_only_requested_fields(cfg):
     out = cfg.with_numerics(steps=512, tol=1e-6)
     assert out.propagator.steps_per_period == 512
     assert out.propagator.tolerance == 1e-6
-    assert out.propagator.method == cfg.propagator.method
+    assert out.propagator.max_refinements == cfg.propagator.max_refinements
     assert out.fig1 == cfg.fig1
     same = cfg.with_numerics()
     assert same.propagator == cfg.propagator
@@ -115,6 +121,8 @@ def test_with_numerics_validates(cfg):
         cfg.with_numerics(tol=-1.0)
     with pytest.raises(config.ConfigError):
         cfg.with_numerics(steps=4)
+    with pytest.raises(config.ConfigError):
+        cfg.with_numerics(tol=float("inf"))
 
 
 def test_config_is_immutable(cfg):

@@ -78,7 +78,7 @@ def test_decompose_flags_noncyclic_state(quick):
 def test_decompose_nonconvergence_names_both_criteria():
     s = fields.nmr_schedule(P)
     cfg = evolve.PropagatorConfig(
-        steps_per_period=16, method="midpoint", tolerance=1e-300, max_refinements=2
+        steps_per_period=16, tolerance=1e-300, max_refinements=2
     )
     with pytest.raises(evolve.NonConvergenceError) as info:
         phases.decompose(s, pauli.KET0, cfg, quad_tol=1e-300, quad_rtol=0.0)
