@@ -315,18 +315,26 @@ def propagate(s: FieldSchedule, psi0, cfg: PropagatorConfig | None = None) -> Tr
     return Trajectory(ts, states, _bloch_rows(states), s.label)
 
 
-def total_unitary(s: FieldSchedule, cfg: PropagatorConfig | None = None):
+def total_unitary(s: FieldSchedule | TwoQubitModel, cfg: PropagatorConfig | None = None):
     """Full-duration propagator matrix, step-doubled like ``propagate``.
 
+    A ``FieldSchedule`` gives the 2x2 propagator from closed-form CF4
+    steps; a ``TwoQubitModel`` gives the dense 4x4 propagator from the
+    ``eigh`` CF4 steps on the target's grid (any model, driven control
+    included), from which every initial state's final state follows.
     Uses a pairwise product tree, so no per-step state storage; convergence
     is judged on the matrix entries.  The converged matrix is projected
     back onto the unitary group, which removes the rounding drift of the
     long product.
     """
     cfg = cfg or PropagatorConfig()
+    if isinstance(s, TwoQubitModel):
+        grid, steps_on = s.target, lambda ts: _dense_step_unitaries(s, ts)
+    else:
+        grid, steps_on = s, lambda ts: _step_unitaries(s.sample, ts)
 
     def run(steps):
-        return _chain_product(_step_unitaries(s.sample, time_grid(s, steps)))
+        return _chain_product(steps_on(time_grid(grid, steps)))
 
     u = refine(run, lambda a, b: [_state_change(a, b, cfg, "matrix")], cfg, "total unitary")
     return _unitary_projection(u)

@@ -28,7 +28,7 @@ from scipy.integrate import simpson
 from . import __version__
 from .config import Config, ConfigError, Fig2Config
 from .csvio import table_to_json, write_json, write_table
-from .evolve import PropagatorConfig, propagate_two_qubit, rotating_frame_oracle
+from .evolve import PropagatorConfig, final_state, rotating_frame_oracle, total_unitary
 from .fields import (
     JosephsonParams,
     NmrParams,
@@ -40,7 +40,7 @@ from .fields import (
     nmr_two_qubit,
 )
 from .gates import REVERSAL_RULES, gate_report_to_json, synthesize_double_loop
-from .pauli import KET0, KET1, bloch_of_state, wrap_pi, angle_dist
+from .pauli import KET0, KET1, angle_dist, bloch_of_state, reduced_bloch, wrap_pi
 from .phases import berry_adiabatic, cyclic_pair_josephson, cyclic_pair_nmr, decompose, loop_phase
 
 __all__ = [
@@ -368,17 +368,22 @@ def _product_state(delta, target):
 
 
 def _block_total(model, pair, delta, prop):
-    """Converged eigenblock total phase for control state delta, including
-    the constant control energy."""
-    d = decompose(model.block_schedule(delta), pair.psi_minus, prop)
-    tau = model.duration
-    return wrap_pi(d.total - model.block_energy(delta) * tau)
+    """Eigenblock total phase for control state delta, including the
+    constant control energy.
+
+    Read from the converged 2x2 propagator of the block schedule (product
+    tree, no per-step states); no dynamical-phase quadrature is needed.
+    """
+    psi = final_state(model.block_schedule(delta), pair.psi_minus, prop)
+    total = float(np.angle(np.vdot(pair.psi_minus, psi)))
+    return wrap_pi(total - model.block_energy(delta) * model.duration)
 
 
-def _dense_total(model, pair, delta, prop):
+def _dense_total(u, pair, delta):
+    """Total phase arg<psi0|U psi0> of the control-delta product state,
+    read from the dense 4x4 propagator ``u`` of the model."""
     psi0 = _product_state(delta, pair.psi_minus)
-    traj = propagate_two_qubit(model, psi0, prop, method="dense")
-    return float(np.angle(np.vdot(psi0, traj.final_state))), traj
+    return float(np.angle(np.vdot(psi0, u @ psi0)))
 
 
 def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j=None):
@@ -391,6 +396,10 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
     reports the control-state fidelity against the decoupled (j = 0)
     single-qubit evolution of the control and the conditional-phase error
     against the eigenblock prediction.
+
+    Each model is propagated once, as its full-duration dense 4x4 matrix
+    (``total_unitary``); both control states' totals and the control's
+    final Bloch vector are read from that one matrix.
 
     ``coupling_j`` overrides the configured coupling (0 gives the exact
     decoupled baseline: control fidelity 1 up to integrator tolerance).
@@ -406,22 +415,19 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
     def point(det):
         w1c = sw.omega1_target + det
         quiet = nmr_two_qubit(base, w1c, drive_on_control=False)
-        driven = nmr_two_qubit(base, w1c, drive_on_control=True)
-        blk_row, leak_row, fid_val = [], [], None
+        u_quiet = total_unitary(quiet, prop)
+        u_driven = total_unitary(nmr_two_qubit(base, w1c, drive_on_control=True), prop)
+        blk_row, leak_row = [], []
         for delta in (0, 1):
             expected = _block_total(quiet, pairs[delta], delta, prop)
-            dense, _ = _dense_total(quiet, pairs[delta], delta, prop)
-            blk_row.append(angle_dist(dense, expected))
-            noisy, traj = _dense_total(driven, pairs[delta], delta, prop)
-            leak_row.append(angle_dist(noisy, expected))
-            if delta == 0:
-                n_control = traj.bloch[-1, 0]
-                ref = rotating_frame_oracle(
-                    NmrParams(omega0=sw.omega0, omega1=w1c, omega=sw.omega), KET0, tau
-                )
-                overlap = 0.5 * (1.0 + float(n_control @ bloch_of_state(ref)))
-                fid_val = float(np.sqrt(max(overlap, 0.0)))
-        return blk_row, leak_row, fid_val
+            blk_row.append(angle_dist(_dense_total(u_quiet, pairs[delta], delta), expected))
+            leak_row.append(angle_dist(_dense_total(u_driven, pairs[delta], delta), expected))
+        n_control, _ = reduced_bloch(u_driven @ _product_state(0, pairs[0].psi_minus))
+        ref = rotating_frame_oracle(
+            NmrParams(omega0=sw.omega0, omega1=w1c, omega=sw.omega), KET0, tau
+        )
+        overlap = 0.5 * (1.0 + float(n_control @ bloch_of_state(ref)))
+        return blk_row, leak_row, float(np.sqrt(max(overlap, 0.0)))
 
     fid, blk = [], {0: [], 1: []}
     leak = {0: [], 1: []}

@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from geomgates.config import load_config
 from geomgates.evolve import PropagatorConfig
+
+# Property tests draw a fixed, bounded set of examples: the suite stays
+# deterministic and its run time bounded.  No example database is written.
+settings.register_profile(
+    "geomgates", derandomize=True, max_examples=8, deadline=5000, database=None
+)
+settings.load_profile("geomgates")
 
 
 @pytest.fixture(scope="session")

@@ -102,6 +102,21 @@ def test_non_finite_config_exits_two(tmp_path, fast_ini, capsys):
     assert "omega0" in err and "not finite" in err
 
 
+@pytest.mark.parametrize("command", ["fig2b", "fig2c", "verify"])
+def test_symmetric_junction_exits_two(tmp_path, fast_ini, capsys, command):
+    cp = configparser.ConfigParser()
+    cp.read(fast_ini)
+    cp.set("fig2", "e2", cp.get("fig2", "e1"))
+    bad = tmp_path / "symmetric.ini"
+    with open(bad, "w") as fh:
+        cp.write(fh)
+    rc = cli.main([command, "--config", str(bad), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "e1 must differ from e2" in err
+
+
 def test_defect_columns_are_nonnegative(tmp_path, fast_ini):
     out = tmp_path / "out"
     assert cli.main(["fig1b", "--config", str(fast_ini), "--out", str(out), "--format", "json"]) == 0

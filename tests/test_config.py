@@ -85,6 +85,20 @@ def test_non_finite_value_raises(tmp_path, section, key, raw):
         config.load_config(path)
 
 
+@pytest.mark.parametrize(
+    "e1, e2, message",
+    [("0.0", "6.25", "must be positive"), ("1.5625", "-1.0", "must be positive"),
+     ("6.25", "6.25", "must differ")],
+)
+def test_impossible_junction_energies_raise(tmp_path, e1, e2, message):
+    def mutate(cp):
+        cp.set("fig2", "e1", e1)
+        cp.set("fig2", "e2", e2)
+
+    with pytest.raises(config.ConfigError, match=message):
+        config.load_config(_write_modified(tmp_path, mutate))
+
+
 def test_bad_grid_bounds_raise(tmp_path):
     def mutate(cp):
         cp.set("fig1", "tau_min", "50.0")

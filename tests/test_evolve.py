@@ -113,6 +113,26 @@ def test_two_qubit_block_equals_dense(accurate):
     assert np.max(np.abs(blk.final_state - dense.final_state)) < 1e-6
 
 
+@pytest.mark.parametrize("drive_on_control", [False, True])
+@pytest.mark.parametrize("omega1_control", [0.9, 2.4])
+def test_dense_propagator_matches_dense_trajectories(accurate, omega1_control, drive_on_control):
+    base = fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1, j=0.35)
+    model = fields.nmr_two_qubit(base, omega1_control, drive_on_control=drive_on_control)
+    u = evolve.total_unitary(model, accurate)
+    for control in (pauli.KET0, pauli.KET1):
+        psi4 = np.kron(control, PSI0)
+        traj = evolve.propagate_two_qubit(model, psi4, accurate, method="dense")
+        assert np.max(np.abs(u @ psi4 - traj.final_state)) < 1e-9
+
+
+def test_quiet_model_propagator_conserves_control_z(accurate):
+    u = evolve.total_unitary(_two_qubit_case(), accurate)
+    assert u.shape == (4, 4)
+    assert pauli.unitarity_defect(u) < 1e-12
+    assert np.max(np.abs(u[:2, 2:])) <= 1e-12
+    assert np.max(np.abs(u[2:, :2])) <= 1e-12
+
+
 def _decoupled_case():
     """Driven control, j = 0: the exact answer is the product of oracles."""
     base = fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1, j=0.0)

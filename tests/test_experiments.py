@@ -123,6 +123,16 @@ def test_run_fig1_writes_deterministic_csv(tmp_path, mini, accurate):
     assert "# omega0 = 7.745966692414834" in text
 
 
+def test_run_sweep_writes_deterministic_csv(tmp_path, mini, accurate):
+    # three detunings, so the points run through the thread pool
+    assert len(mini.sweep.detuning_grid.values()) > 1
+    a = experiments.run_sweep(mini, tmp_path / "one", prop=accurate)
+    b = experiments.run_sweep(mini, tmp_path / "two", prop=accurate)
+    assert a.name == "sweep.csv"
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_text().startswith("# experiment = sweep\n")
+
+
 def test_run_fig1_json_format(tmp_path, mini, accurate):
     path = experiments.run_fig1(mini, "b", tmp_path, fmt="json", prop=accurate)
     doc = json.loads(path.read_text())
