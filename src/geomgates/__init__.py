@@ -35,7 +35,6 @@ from .fields import (  # noqa: F401
     JosephsonParams,
     NmrParams,
     TwoQubitModel,
-    concat,
     josephson_conditional_schedule,
     josephson_schedule,
     negated_schedule,

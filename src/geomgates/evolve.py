@@ -33,7 +33,7 @@ import numpy as np
 
 from . import pauli
 from .csvio import write_table
-from .fields import FieldSchedule, NmrParams, TwoQubitModel, flatten_pieces
+from .fields import FieldSchedule, NmrParams, TwoQubitModel
 from .pauli import expm_pauli, reduced_bloch
 
 __all__ = [
@@ -130,8 +130,7 @@ class Trajectory:
 
     ``states`` is (n, d) complex (None for classical Bloch runs); ``bloch``
     is (n, 3) for a single qubit and (n, 2, 3) per-qubit reductions for the
-    coupled pair; times[0] == 0 and the grid contains every period boundary
-    and schedule piece boundary exactly.
+    coupled pair; the grid runs from times[0] == 0 to the schedule period.
     """
 
     times: np.ndarray
@@ -156,29 +155,12 @@ def _even(n):
 
 
 def time_grid(s: FieldSchedule, steps_per_period):
-    """Deterministic step grid over [0, s.duration].
+    """Uniform step grid over one period [0, s.period].
 
-    Splits at schedule piece boundaries and at every multiple of the base
-    period, then subdivides each chunk uniformly with an even step count
-    proportional to its length (so Simpson quadrature and stride-2
-    subsampling stay aligned).
+    The step count is even, so Simpson quadrature and stride-2
+    subsampling stay aligned.
     """
-    cuts = {0.0, float(s.duration)}
-    for a, b, _ in flatten_pieces(s):
-        for c in (float(a), float(b)):
-            if 0.0 < c < s.duration:
-                cuts.add(c)
-    k = 1
-    while k * s.period < s.duration - 1e-12 * s.period:
-        cuts.add(float(k * s.period))
-        k += 1
-    bounds = sorted(cuts)
-    segs = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        n = _even(np.ceil(steps_per_period * (b - a) / s.period))
-        seg = np.linspace(a, b, n + 1)
-        segs.append(seg if not segs else seg[1:])
-    return np.concatenate(segs)
+    return np.linspace(0.0, s.period, _even(steps_per_period) + 1)
 
 
 # CF4 Gauss-node offsets (fractions of the step) and combination weights.
@@ -286,7 +268,7 @@ def _bloch_rows(states):
 
 
 def propagate(s: FieldSchedule, psi0, cfg: PropagatorConfig | None = None) -> Trajectory:
-    """Propagate a single-qubit state over the schedule duration.
+    """Propagate a single-qubit state over one schedule period.
 
     Parameters
     ----------
@@ -316,7 +298,7 @@ def propagate(s: FieldSchedule, psi0, cfg: PropagatorConfig | None = None) -> Tr
 
 
 def total_unitary(s: FieldSchedule | TwoQubitModel, cfg: PropagatorConfig | None = None):
-    """Full-duration propagator matrix, step-doubled like ``propagate``.
+    """One-period propagator matrix, step-doubled like ``propagate``.
 
     A ``FieldSchedule`` gives the 2x2 propagator from closed-form CF4
     steps; a ``TwoQubitModel`` gives the dense 4x4 propagator from the

@@ -367,16 +367,23 @@ def _product_state(delta, target):
     return np.kron(_BASIS[delta], target)
 
 
-def _block_total(model, pair, delta, prop):
-    """Eigenblock total phase for control state delta, including the
-    constant control energy.
+def _block_angle(model, pair, delta, prop):
+    """arg<psi|U_block psi> of the eigenblock schedule for control state
+    delta, with psi = pair.psi_minus.
 
-    Read from the converged 2x2 propagator of the block schedule (product
-    tree, no per-step states); no dynamical-phase quadrature is needed.
+    The block schedule does not depend on the control field, so one value
+    serves every control detuning.  Read from the converged 2x2 propagator
+    (product tree, no per-step states); no quadrature is needed.
     """
     psi = final_state(model.block_schedule(delta), pair.psi_minus, prop)
-    total = float(np.angle(np.vdot(pair.psi_minus, psi)))
-    return wrap_pi(total - model.block_energy(delta) * model.duration)
+    return float(np.angle(np.vdot(pair.psi_minus, psi)))
+
+
+def _block_total(model, angle, delta):
+    """Eigenblock total phase for control state delta: the block angle
+    from ``_block_angle`` plus the phase -E tau of the constant control
+    energy E of that block."""
+    return wrap_pi(angle - model.block_energy(delta) * model.period)
 
 
 def _dense_total(u, pair, delta):
@@ -397,9 +404,11 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
     single-qubit evolution of the control and the conditional-phase error
     against the eigenblock prediction.
 
-    Each model is propagated once, as its full-duration dense 4x4 matrix
+    Each model is propagated once, as its one-period dense 4x4 matrix
     (``total_unitary``); both control states' totals and the control's
-    final Bloch vector are read from that one matrix.
+    final Bloch vector are read from that one matrix.  The eigenblock
+    angles do not depend on the control field and are computed once per
+    sweep.
 
     ``coupling_j`` overrides the configured coupling (0 gives the exact
     decoupled baseline: control fidelity 1 up to integrator tolerance).
@@ -411,6 +420,8 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
     pairs = {d: cyclic_pair_nmr(replace(base, delta=d)) for d in (0, 1)}
     tau = base.tau
     detunings = sw.detuning_grid.values()
+    blocks = nmr_two_qubit(base, sw.omega1_target)
+    angles = {d: _block_angle(blocks, pairs[d], d, prop) for d in (0, 1)}
 
     def point(det):
         w1c = sw.omega1_target + det
@@ -419,7 +430,7 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
         u_driven = total_unitary(nmr_two_qubit(base, w1c, drive_on_control=True), prop)
         blk_row, leak_row = [], []
         for delta in (0, 1):
-            expected = _block_total(quiet, pairs[delta], delta, prop)
+            expected = _block_total(quiet, angles[delta], delta)
             blk_row.append(angle_dist(_dense_total(u_quiet, pairs[delta], delta), expected))
             leak_row.append(angle_dist(_dense_total(u_driven, pairs[delta], delta), expected))
         n_control, _ = reduced_bloch(u_driven @ _product_state(0, pairs[0].psi_minus))

@@ -1,8 +1,8 @@
 """Time-dependent control-field schedules for the two qubit platforms.
 
 A schedule is a deterministic map t -> B(t) (a 3-vector in energy units)
-together with its base loop period and total duration.  Single-qubit
-dynamics follow H(t) = -(1/2) B(t) . sigma.  Builders are provided for
+over one loop period tau.  Single-qubit dynamics follow
+H(t) = -(1/2) B(t) . sigma.  Builders are provided for
 
 * a circularly rotating transverse field with a static z component
   (the NMR-style drive), including the conditional variant whose z
@@ -10,15 +10,15 @@ dynamics follow H(t) = -(1/2) B(t) . sigma.  Builders are provided for
 * a flux-plus-offset-charge driven Josephson charge qubit whose designed
   drive keeps the effective-field cone angle constant over a loop.
 
-Schedules compose: rotation about the y axis, sign flip, time reversal of
-one loop, and concatenation.  Composite schedules keep track of their
-smooth pieces so integrators can avoid quadrature across field jumps.
+A schedule can be rotated about the y axis, sign-flipped and retraced.
+Every schedule spans exactly one period: a protocol of several loops is
+the product of the loops' propagators, not one joined schedule.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -42,8 +42,6 @@ __all__ = [
     "negated_schedule",
     "time_reversed_schedule",
     "reversed_schedule",
-    "concat",
-    "flatten_pieces",
     "closure_gap",
     "hamiltonian",
     "nmr_two_qubit",
@@ -54,7 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldSchedule:
-    """A deterministic field history B(t).
+    """A deterministic field history B(t) over one loop, 0 <= t <= period.
 
     Attributes
     ----------
@@ -63,28 +61,18 @@ class FieldSchedule:
         (..., 3).  Pure function; schedules are safe to share across
         workers.
     period : float
-        Base loop period tau of the underlying drive.
-    duration : float
-        Total time span covered (one period for plain loops, longer for
-        concatenations).
+        Loop period tau: the time span the schedule covers.
     label : str
         Human-readable tag carried into exports.
-    pieces : tuple
-        Smoothness decomposition ((offset, schedule), ...); empty for
-        schedules that are smooth over their whole duration.
     """
 
     sample: Callable[[np.ndarray], np.ndarray]
     period: float
-    duration: float
     label: str
-    pieces: tuple = field(default=())
 
     def __post_init__(self):
         if not self.period > 0.0:
             raise ValueError(f"schedule period must be positive, got {self.period}")
-        if not self.duration > 0.0:
-            raise ValueError(f"schedule duration must be positive, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +177,7 @@ def nmr_schedule(p: NmrParams) -> FieldSchedule:
 
     tau = p.tau
     label = f"nmr(omega0={p.omega0:g}, z={z:g}, omega={p.omega:g})"
-    return FieldSchedule(sample=sample, period=tau, duration=tau, label=label)
+    return FieldSchedule(sample=sample, period=tau, label=label)
 
 
 def nmr_conditional_schedule(p: NmrParams, delta=None) -> FieldSchedule:
@@ -278,7 +266,7 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
 
     tau = p.tau
     label = f"josephson(e1={p.e1:g}, e2={p.e2:g}, chi0={p.chi0:g}, omega={p.omega:g})"
-    return FieldSchedule(sample=sample, period=tau, duration=tau, label=label)
+    return FieldSchedule(sample=sample, period=tau, label=label)
 
 
 def josephson_conditional_schedule(p: JosephsonParams, delta=None) -> FieldSchedule:
@@ -295,7 +283,7 @@ def josephson_conditional_schedule(p: JosephsonParams, delta=None) -> FieldSched
         return base.sample(t) + offset
 
     label = base.label + f" + z_shift({shift:g})"
-    return FieldSchedule(sample=sample, period=base.period, duration=base.duration, label=label)
+    return FieldSchedule(sample=sample, period=base.period, label=label)
 
 
 def rotation_about_y(angle):
@@ -305,14 +293,11 @@ def rotation_about_y(angle):
 
 
 def _map_field(s: FieldSchedule, f, label) -> FieldSchedule:
-    """Apply a pointwise linear map to the field, preserving piece structure."""
+    """Apply a pointwise linear map to the field."""
     def sample(t):
         return f(s.sample(t))
 
-    pieces = tuple((off, _map_field(sub, f, sub.label)) for off, sub in s.pieces)
-    return FieldSchedule(
-        sample=sample, period=s.period, duration=s.duration, label=label, pieces=pieces
-    )
+    return FieldSchedule(sample=sample, period=s.period, label=label)
 
 
 def rotate_schedule(s: FieldSchedule, dchi) -> FieldSchedule:
@@ -333,15 +318,13 @@ def time_reversed_schedule(s: FieldSchedule) -> FieldSchedule:
     def sample(t):
         return s.sample(tau - np.asarray(t, dtype=float))
 
-    return FieldSchedule(
-        sample=sample, period=tau, duration=tau, label=f"time_reversed[{s.label}]"
-    )
+    return FieldSchedule(sample=sample, period=tau, label=f"time_reversed[{s.label}]")
 
 
 def reversed_schedule(s: FieldSchedule) -> FieldSchedule:
     """Sign-flipped retraced loop: sample(t) = -s.sample(tau - t).
 
-    Appending this to the original loop realizes the second period of the
+    Run after the original loop, this is the second period of the
     echo-style protocol B(2 tau - t) = -B(t).  Applying it twice returns the
     original loop.
     """
@@ -350,51 +333,7 @@ def reversed_schedule(s: FieldSchedule) -> FieldSchedule:
     def sample(t):
         return -s.sample(tau - np.asarray(t, dtype=float))
 
-    return FieldSchedule(
-        sample=sample, period=tau, duration=tau, label=f"reversed[{s.label}]"
-    )
-
-
-def concat(s1: FieldSchedule, s2: FieldSchedule) -> FieldSchedule:
-    """Run s1 for its full duration, then s2.
-
-    The sample map is right-continuous at the joint.  The base period of the
-    left operand is kept as the sampling-density hint.
-    """
-    d1, d2 = s1.duration, s2.duration
-
-    def sample(t):
-        t = np.asarray(t, dtype=float)
-        left = s1.sample(np.minimum(t, d1))
-        right = s2.sample(np.maximum(t - d1, 0.0))
-        mask = (t < d1)[..., None]
-        return np.where(mask, left, right)
-
-    p1 = s1.pieces if s1.pieces else ((0.0, s1),)
-    p2 = s2.pieces if s2.pieces else ((0.0, s2),)
-    pieces = tuple(p1) + tuple((d1 + off, sub) for off, sub in p2)
-    return FieldSchedule(
-        sample=sample,
-        period=s1.period,
-        duration=d1 + d2,
-        label=f"concat[{s1.label} | {s2.label}]",
-        pieces=pieces,
-    )
-
-
-def flatten_pieces(s: FieldSchedule):
-    """Smooth segments of a schedule as (t_start, t_end, local_sample) triples.
-
-    ``local_sample`` expects times relative to t_start.  Plain schedules
-    yield a single segment covering [0, duration].
-    """
-    if not s.pieces:
-        return [(0.0, s.duration, s.sample)]
-    out = []
-    for off, sub in s.pieces:
-        for a, b, fn in flatten_pieces(sub):
-            out.append((off + a, off + b, fn))
-    return out
+    return FieldSchedule(sample=sample, period=tau, label=f"reversed[{s.label}]")
 
 
 def closure_gap(s: FieldSchedule):
@@ -431,10 +370,6 @@ class TwoQubitModel:
     @property
     def period(self):
         return self.target.period
-
-    @property
-    def duration(self):
-        return self.target.duration
 
     def control_field(self, t):
         """Field seen by the control qubit, shape (..., 3)."""
@@ -477,7 +412,6 @@ class TwoQubitModel:
         return FieldSchedule(
             sample=sample,
             period=self.target.period,
-            duration=self.target.duration,
             label=self.target.label + f" + block_z({shift:g})",
         )
 
@@ -500,11 +434,10 @@ def nmr_two_qubit(p: NmrParams, omega1_control, drive_on_control=False) -> TwoQu
 
 
 def schedule_to_csv(s: FieldSchedule, path, samples_per_period=4096, params=None):
-    """Export t, Bx, By, Bz on a uniform grid over the schedule duration."""
-    n = int(round(samples_per_period * s.duration / s.period))
-    ts = np.linspace(0.0, s.duration, max(n, 2) + 1)
+    """Export t, Bx, By, Bz on a uniform grid over the schedule period."""
+    ts = np.linspace(0.0, s.period, max(int(samples_per_period), 2) + 1)
     b = s.sample(ts)
-    meta = {"schedule": s.label, "period": s.period, "duration": s.duration}
+    meta = {"schedule": s.label, "period": s.period}
     if params:
         meta.update(params)
     write_table(

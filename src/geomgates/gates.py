@@ -21,7 +21,6 @@ from . import evolve, pauli, phases
 from .csvio import write_json
 from .fields import (
     FieldSchedule,
-    concat,
     negated_schedule,
     reversed_schedule,
     time_reversed_schedule,
@@ -204,26 +203,28 @@ def synthesize_double_loop(
 ) -> GateReport:
     """Run two loops, the second with a reversal rule, and report the gate.
 
-    With the literal echo rule (second-loop field -B(tau - t)) the
-    second-period propagator is exactly the inverse of the first, so the
-    dynamical phases cancel and the composite collapses to the identity;
-    the report quantifies both facts.  The intended doubled cone gate
-    U(chi, 2 gamma_loop) is used as the comparison target.  Pass a
-    different rule name from REVERSAL_RULES (or any schedule transform) to
-    evaluate protocol variants.
+    The composite is the product U2 @ U1 of the two loops' one-period
+    propagators, and the second loop starts from U1 psi_plus.  With the
+    literal echo rule (second-loop field -B(tau - t)) U2 is exactly the
+    inverse of U1, so the dynamical phases cancel and the composite
+    collapses to the identity; the report quantifies both facts.  The
+    intended doubled cone gate U(chi, 2 gamma_loop) is used as the
+    comparison target.  Pass a different rule name from REVERSAL_RULES (or
+    any schedule transform) to evaluate protocol variants.
     """
     cfg = cfg or evolve.PropagatorConfig()
     rule = REVERSAL_RULES[reversal] if isinstance(reversal, str) else reversal
     second = rule(s)
-    protocol = concat(s, second)
 
     d1 = phases.decompose(s, pair.psi_plus, cfg)
-    mid = evolve.final_state(s, pair.psi_plus, cfg)
-    d2 = phases.decompose(second, pauli.normalize(mid), cfg, cyclicity_threshold=np.inf)
+    u1 = evolve.total_unitary(s, cfg)
+    mid = pauli.normalize(u1 @ pair.psi_plus)
+    d2 = phases.decompose(second, mid, cfg, cyclicity_threshold=np.inf)
 
-    u = evolve.total_unitary(protocol, cfg)
+    u = evolve.total_unitary(second, cfg) @ u1
     fin = u @ pair.psi_plus
-    composite_defect = 1.0 - pauli.state_fidelity(pair.psi_plus, fin)
+    # Rounding can push the fidelity a last ulp above 1, as in ``decompose``.
+    composite_defect = 1.0 - min(pauli.state_fidelity(pair.psi_plus, fin), 1.0)
 
     target_gamma = 2.0 * d1.geometric
     target = build_gate(GateSpec(pair.chi, target_gamma))

@@ -28,7 +28,6 @@ from .fields import (
     FieldSchedule,
     JosephsonParams,
     NmrParams,
-    flatten_pieces,
     josephson_conditional_schedule,
 )
 
@@ -147,44 +146,21 @@ def cyclic_pair_josephson(p: JosephsonParams, samples=2048, atol=1e-9) -> Cyclic
 
 def verify_cyclic(s: FieldSchedule, pair: CyclicPair, cfg=None):
     """Worst cyclicity defect 1 - |<psi(0)|psi(tau)>| over the pair."""
-    span = s if s.duration == s.period else _one_period_view(s)
     worst = 0.0
     for psi in (pair.psi_plus, pair.psi_minus):
-        fin = evolve.final_state(span, psi, cfg)
+        fin = evolve.final_state(s, psi, cfg)
         worst = max(worst, 1.0 - pauli.state_fidelity(psi, fin))
     return worst
 
 
-def _one_period_view(s: FieldSchedule) -> FieldSchedule:
-    return FieldSchedule(
-        sample=s.sample,
-        period=s.period,
-        duration=s.period,
-        label=s.label,
-        pieces=(),
-    )
-
-
 def _expectation_integral(s: FieldSchedule, ts, bloch):
-    """integral <psi|H|psi> dt with <H> = -(1/2) B . n, piecewise Simpson.
+    """integral <psi|H|psi> dt with <H> = -(1/2) B . n, by Simpson's rule.
 
-    Integrates each smooth schedule piece separately so jumps at composite
-    boundaries never sit inside a quadrature panel; boundary samples use
-    their own piece's one-sided field value.
+    The field is smooth over the loop, so one Simpson sum over the whole
+    grid ``ts`` (an even number of steps) suffices.
     """
-    total = 0.0
-    for a, b, fn in flatten_pieces(s):
-        if a >= ts[-1]:
-            break
-        i0 = int(np.searchsorted(ts, a))
-        i1 = int(np.searchsorted(ts, min(b, ts[-1])))
-        if i1 <= i0:
-            continue
-        tseg = ts[i0 : i1 + 1]
-        bf = np.asarray(fn(tseg - a), dtype=float)
-        energy = -0.5 * np.einsum("nk,nk->n", bf, bloch[i0 : i1 + 1])
-        total += float(simpson(energy, x=tseg))
-    return total
+    energy = -0.5 * np.einsum("nk,nk->n", np.asarray(s.sample(ts), dtype=float), bloch)
+    return float(simpson(energy, x=ts))
 
 
 def decompose(
@@ -195,7 +171,7 @@ def decompose(
     quad_tol=1e-9,
     quad_rtol=1e-11,
 ) -> PhaseDecomposition:
-    """Split the phase acquired over the schedule duration.
+    """Split the phase acquired over one schedule period.
 
     Propagation and the dynamical-phase quadrature are refined together
     (step doubling) until the final state moves by at most cfg.tolerance

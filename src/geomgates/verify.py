@@ -124,7 +124,7 @@ def check_oracle_equivalence(cfg: Config, prop=None):
                 p = NmrParams(omega0=w0, omega1=w1, omega=w)
                 s = nmr_schedule(p)
                 psi = final_state(s, psi0, prop)
-                ref = rotating_frame_oracle(p, psi0, s.duration)
+                ref = rotating_frame_oracle(p, psi0, s.period)
                 worst_infid = max(worst_infid, 1.0 - pauli.state_fidelity(psi, ref))
                 worst_phase = max(
                     worst_phase, abs(wrap_pi(pauli.overlap_phase(ref, psi)))
@@ -568,7 +568,8 @@ def check_block_exactness(cfg: Config, prop=None):
             u = total_unitary(model, prop)
             for delta in (0, 1):
                 pair = phases.cyclic_pair_nmr(replace(p, delta=delta))
-                expected = experiments._block_total(model, pair, delta, prop)
+                angle = experiments._block_angle(model, pair, delta, prop)
+                expected = experiments._block_total(model, angle, delta)
                 dense = experiments._dense_total(u, pair, delta)
                 worst = max(worst, angle_dist(dense, expected))
                 runs += 1

@@ -182,6 +182,14 @@ def test_run_gate_nmr(tmp_path, mini, accurate):
     assert json.loads(path.read_text())["flags"]["cyclic"] is True
 
 
+def test_run_gate_writes_deterministic_json(tmp_path, mini, accurate):
+    spec = _spec_file(tmp_path, GATE_SPEC_NMR)
+    a, _ = experiments.run_gate(mini, spec, tmp_path / "one", prop=accurate)
+    b, _ = experiments.run_gate(mini, spec, tmp_path / "two", prop=accurate)
+    assert a.name == "gate_report.json"
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_run_gate_josephson(tmp_path, mini, accurate):
     doc = {
         "platform": "josephson",

@@ -11,13 +11,12 @@ JP = fields.JosephsonParams(
 
 def test_nmr_schedule_samples_rotating_field():
     s = fields.nmr_schedule(fields.NmrParams(omega0=2.0, omega1=0.7, omega=1.3))
-    ts = np.linspace(0.0, s.duration, 17)
+    ts = np.linspace(0.0, s.period, 17)
     b = s.sample(ts)
     assert np.allclose(b[:, 0], 2.0 * np.cos(1.3 * ts), atol=1e-14)
     assert np.allclose(b[:, 1], 2.0 * np.sin(1.3 * ts), atol=1e-14)
     assert np.allclose(b[:, 2], 0.7, atol=1e-15)
     assert abs(s.period - 2.0 * np.pi / 1.3) < 1e-15
-    assert abs(s.duration - s.period) < 1e-15
 
 
 def test_conditional_schedule_shifts_z_by_coupling():
@@ -46,7 +45,7 @@ def test_josephson_coupling_extremes():
 
 def test_josephson_schedule_holds_cone_angle():
     s = fields.josephson_schedule(JP)
-    ts = np.linspace(0.0, s.duration, 211, endpoint=False)
+    ts = np.linspace(0.0, s.period, 211, endpoint=False)
     b = s.sample(ts)
     eperp = np.hypot(b[:, 0], b[:, 1])
     chi = np.arctan2(eperp, b[:, 2] - JP.omega)
@@ -56,37 +55,43 @@ def test_josephson_schedule_holds_cone_angle():
     assert phases[-1] < phases[0]
 
 
+@pytest.mark.parametrize("e1, e2", [(1.5625, 6.25), (6.25, 1.5625)])
+def test_josephson_flux_and_charge_realize_schedule(e1, e2):
+    p = fields.JosephsonParams(e1=e1, e2=e2, e_ch=39.0625, chi0=JP.chi0, omega=0.9)
+    s = fields.josephson_schedule(p)
+    ts = np.linspace(0.0, s.period, 1001)
+    b = s.sample(ts)
+    beta = fields.josephson_flux_phase(p, ts)
+    nx = fields.josephson_offset_charge(p, ts)
+    # the junction pair e1 e^{i beta} + e2 e^{-i beta} gives Bx - i By
+    junctions = e1 * np.exp(1j * beta) + e2 * np.exp(-1j * beta)
+    assert np.max(np.abs(junctions - (b[:, 0] - 1j * b[:, 1]))) <= 1e-12
+    assert np.max(np.abs(p.e_ch * (1.0 - 2.0 * nx) - b[:, 2])) <= 1e-12
+    # continuous: no branch jumps, one full turn against sign(e1 - e2)
+    assert abs(beta[0]) <= 1e-12
+    assert abs(beta[-1] - np.sign(e1 - e2) * 2.0 * np.pi) <= 1e-12
+    assert np.max(np.abs(np.diff(beta))) < 0.1
+
+
 def test_rotate_schedule_applies_rigid_y_rotation():
     s = fields.nmr_schedule(P)
     dchi = 0.6
     r = fields.rotate_schedule(s, dchi)
     c, sn = np.cos(dchi), np.sin(dchi)
     rot = np.array([[c, 0.0, sn], [0.0, 1.0, 0.0], [-sn, 0.0, c]])
-    ts = np.linspace(0.0, s.duration, 13)
+    ts = np.linspace(0.0, s.period, 13)
     assert np.allclose(r.sample(ts), s.sample(ts) @ rot.T, atol=1e-13)
     assert abs(r.period - s.period) < 1e-15
 
 
 def test_negated_and_reversed_relations():
     s = fields.nmr_schedule(P)
-    ts = np.linspace(0.0, s.duration, 13)
+    ts = np.linspace(0.0, s.period, 13)
     assert np.allclose(fields.negated_schedule(s).sample(ts), -s.sample(ts))
     rev = fields.time_reversed_schedule(s)
-    assert np.allclose(rev.sample(ts), s.sample(s.duration - ts), atol=1e-13)
+    assert np.allclose(rev.sample(ts), s.sample(s.period - ts), atol=1e-13)
     both = fields.reversed_schedule(s)
-    assert np.allclose(both.sample(ts), -s.sample(s.duration - ts), atol=1e-13)
-
-
-def test_concat_joins_pieces_in_order():
-    s = fields.nmr_schedule(P)
-    double = fields.concat(s, fields.negated_schedule(s))
-    assert abs(double.duration - 2.0 * s.duration) < 1e-14
-    t = np.array([0.2])
-    assert np.allclose(double.sample(t), s.sample(t))
-    assert np.allclose(double.sample(t + s.duration), -s.sample(t), atol=1e-13)
-    segments = fields.flatten_pieces(double)
-    assert len(segments) == 2
-    assert any(abs(start - s.duration) < 1e-12 for start, _, _ in segments)
+    assert np.allclose(both.sample(ts), -s.sample(s.period - ts), atol=1e-13)
 
 
 def test_hamiltonian_is_minus_half_field_dot_sigma():
@@ -171,4 +176,4 @@ def test_schedule_to_csv_writes_field_trace(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=len(lines) - 33)
     assert data.shape == (33, 4)
     assert np.allclose(data[:, 1], 2.0 * np.cos(1.3 * data[:, 0]), atol=1e-12)
-    assert abs(data[-1, 0] - s.duration) < 1e-12
+    assert abs(data[-1, 0] - s.period) < 1e-12

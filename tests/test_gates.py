@@ -160,6 +160,35 @@ def test_double_loop_time_reversed_rule_does_not_cancel(accurate):
     assert abs(rep.dynamical_sum) > 0.1
 
 
+def test_double_loop_time_reversed_matches_closed_form(accurate):
+    # the retraced loop is the clockwise drive, so both factors follow from
+    # the rotating-frame closed form, with omega -> -omega for the second
+    p = fields.NmrParams(2.0, 0.9, 1.1)
+    s = fields.nmr_schedule(p)
+    rep = gates.synthesize_double_loop(
+        s, phases.cyclic_pair_nmr(p), accurate, reversal="time_reversed"
+    )
+    tau, w, z = p.tau, p.omega, p.z_effective
+    zhat = np.array([0.0, 0.0, 1.0])
+    u_ccw = pauli.expm_pauli(zhat, -0.5 * w * tau) @ pauli.expm_pauli(
+        np.array([p.omega0, 0.0, z + w]), 0.5 * tau
+    )
+    u_cw = pauli.expm_pauli(zhat, 0.5 * w * tau) @ pauli.expm_pauli(
+        np.array([p.omega0, 0.0, z - w]), 0.5 * tau
+    )
+    assert np.max(np.abs(rep.matrix - u_cw @ u_ccw)) <= 1e-9
+
+
+def test_double_loop_composite_defect_is_never_negative(accurate):
+    # the echo composite is the identity to rounding, so the fidelity can
+    # round a last ulp above 1
+    p = fields.NmrParams(omega0=7.7, omega1=0.8, omega=0.15, j=1.0, delta=0)
+    s = fields.nmr_conditional_schedule(p)
+    rep = gates.synthesize_double_loop(s, phases.cyclic_pair_nmr(p), accurate)
+    assert rep.composite_defect >= 0.0
+    assert rep.flags["cyclic"]
+
+
 def test_double_loop_unknown_rule_rejected(accurate):
     s = fields.nmr_schedule(P)
     pair = phases.cyclic_pair_nmr(P)

@@ -91,7 +91,7 @@ def test_dynamical_phase_static_field(accurate):
     b = 1.7
     s = fields.nmr_schedule(fields.NmrParams(omega0=0.0, omega1=b, omega=2.0))
     got = phases.dynamical_phase(s, pauli.KET0, accurate)
-    assert abs(got - 0.5 * b * s.duration) < 1e-10
+    assert abs(got - 0.5 * b * s.period) < 1e-10
 
 
 def test_solid_angle_analytic_circle():

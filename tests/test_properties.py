@@ -23,5 +23,6 @@ def test_block_totals_equal_dense_totals(accurate, omega0, omega1, omega, j, con
     u = total_unitary(model, accurate)
     for delta in (0, 1):
         pair = phases.cyclic_pair_nmr(replace(p, delta=delta))
-        expected = experiments._block_total(model, pair, delta, accurate)
+        angle = experiments._block_angle(model, pair, delta, accurate)
+        expected = experiments._block_total(model, angle, delta)
         assert angle_dist(experiments._dense_total(u, pair, delta), expected) <= 1e-8
