@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import evolve, pauli
 from .fields import (
@@ -153,14 +152,29 @@ def verify_cyclic(s: FieldSchedule, pair: CyclicPair, cfg=None):
     return worst
 
 
+def _simpson(y, x):
+    """Composite Simpson rule h/3 (y0 + yn + 4 sum y_odd + 2 sum y_even).
+
+    ``x`` is a uniform grid with an even number of steps, that is an odd
+    number of samples; any other sample count raises ValueError.
+    """
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd number >= 3 of samples, got {n}")
+    h = (x[-1] - x[0]) / (n - 1)
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
+
+
 def _expectation_integral(s: FieldSchedule, ts, bloch):
     """integral <psi|H|psi> dt with <H> = -(1/2) B . n, by Simpson's rule.
 
-    The field is smooth over the loop, so one Simpson sum over the whole
-    grid ``ts`` (an even number of steps) suffices.
+    The field is smooth over the loop, so one composite Simpson sum over
+    the whole uniform grid ``ts`` (an even number of steps, see
+    ``evolve.time_grid``) suffices.
     """
     energy = -0.5 * np.einsum("nk,nk->n", np.asarray(s.sample(ts), dtype=float), bloch)
-    return float(simpson(energy, x=ts))
+    return _simpson(energy, ts)
 
 
 def decompose(

@@ -1,10 +1,25 @@
 import configparser
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geomgates
 from geomgates import cli
 from geomgates.config import default_config_path
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's geomgates."""
+    src = str(Path(geomgates.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.fixture()
@@ -193,6 +208,41 @@ def test_nonconvergence_exits_two_with_one_line(tmp_path, fast_ini, capsys):
     assert err.count("\n") == 1
     assert "did not converge after 1 refinements" in err
     assert "bound 1e-300" in err
+
+
+def test_cli_import_loads_no_scipy():
+    probe = (
+        "import sys, geomgates.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    run = _run_python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_diverging_gate_prints_only_the_one_line_error(tmp_path, fast_ini):
+    # A loop lasting ~6e300 cannot converge; the error must come without a
+    # numerical warning ahead of it.  pytest captures warnings, so this runs
+    # in a fresh interpreter.
+    cp = configparser.ConfigParser()
+    cp.read(fast_ini)
+    cp.set("numerics", "steps_per_period", "16")
+    cp.set("numerics", "max_refinements", "2")
+    ini = tmp_path / "slow.ini"
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    spec = tmp_path / "gate.json"
+    spec.write_text(
+        json.dumps({"platform": "nmr", "omega0": 2.0, "omega1": 0.9, "omega": 1e-300})
+    )
+    run = _run_python(
+        "-m", "geomgates.cli", "gate", str(spec), "--config", str(ini),
+        "--out", str(tmp_path / "out"),
+    )
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1
+    assert "did not converge" in run.stderr
+    assert "Warning" not in run.stderr
 
 
 def test_unknown_subcommand_rejected():

@@ -87,6 +87,27 @@ def test_decompose_nonconvergence_names_both_criteria():
     assert "dynamical-phase change" in msg and "rad (bound 1e-300 rad)" in msg
 
 
+@pytest.mark.parametrize("steps", [16, 4096, 65536])
+def test_simpson_matches_scipy_on_smooth_integrand(steps):
+    # scipy stays a test-only oracle, beside the scipy.linalg.expm ones
+    from scipy.integrate import simpson
+
+    x = np.linspace(0.3, 2.9, steps + 1)
+    y = np.exp(np.sin(3.0 * x)) * np.cos(x)
+    want = simpson(y, x=x)
+    assert abs(phases._simpson(y, x) - want) <= 1e-13 * abs(want)
+
+
+def test_simpson_is_exact_on_cubics_and_rejects_odd_step_counts():
+    x = np.linspace(-1.0, 2.0, 9)
+    exact = (2.0**4 - 1.0) / 4.0 - (2.0**3 + 1.0) / 3.0 + 3.0 * 3.0
+    got = phases._simpson(x**3 - x**2 + 3.0, x)
+    assert abs(got - exact) <= 1e-14 * abs(exact)
+    x = np.linspace(0.0, 1.0, 8)
+    with pytest.raises(ValueError):
+        phases._simpson(np.cos(x), x)
+
+
 def test_dynamical_phase_static_field(accurate):
     b = 1.7
     s = fields.nmr_schedule(fields.NmrParams(omega0=0.0, omega1=b, omega=2.0))

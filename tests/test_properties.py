@@ -9,6 +9,13 @@ from geomgates import experiments, fields, phases
 from geomgates.evolve import total_unitary
 from geomgates.pauli import angle_dist
 
+nmr_params = st.builds(
+    fields.NmrParams,
+    omega0=st.floats(0.3, 4.0),
+    omega1=st.floats(-3.0, 3.0),
+    omega=st.floats(0.5, 3.0),
+)
+
 
 @given(
     omega0=st.floats(0.5, 8.0),
@@ -26,3 +33,17 @@ def test_block_totals_equal_dense_totals(accurate, omega0, omega1, omega, j, con
         angle = experiments._block_angle(model, pair, delta, accurate)
         expected = experiments._block_total(model, angle, delta)
         assert angle_dist(experiments._dense_total(u, pair, delta), expected) <= 1e-8
+
+
+@given(p=nmr_params)
+def test_pair_members_take_opposite_geometric_phases(accurate, p):
+    pair = phases.cyclic_pair_nmr(p)
+    g_plus, g_minus = phases.antisymmetry_check(fields.nmr_schedule(p), pair, accurate)
+    assert angle_dist(g_plus, -g_minus) <= 1e-9
+
+
+@given(p=nmr_params)
+def test_total_minus_dynamical_follows_loop_phase_law(accurate, p):
+    pair = phases.cyclic_pair_nmr(p)
+    d = phases.decompose(fields.nmr_schedule(p), pair.psi_plus, accurate)
+    assert angle_dist(d.total - d.dynamical, -phases.loop_phase(pair.chi)) <= 1e-9
