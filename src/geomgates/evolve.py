@@ -246,17 +246,16 @@ def _chain_product(us):
     return m[0]
 
 
-def _fixed_states(s: FieldSchedule, psi0, steps_per_period):
-    """One rung: grid and states, each row renormalized once.
+def _fixed_states(us, psi0):
+    """One rung's states from its step unitaries, each row renormalized once.
 
     Products of many near-identity steps drift off the unit sphere by a
     rounding error that grows with the step count; one renormalization
     per rung removes it.
     """
-    ts = time_grid(s, steps_per_period)
-    states = _apply_chain(_step_unitaries(s.sample, ts), psi0)
+    states = _apply_chain(us, psi0)
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    return ts, states
+    return states
 
 
 def _bloch_rows(states):
@@ -291,9 +290,12 @@ def propagate(s: FieldSchedule, psi0, cfg: PropagatorConfig | None = None) -> Tr
     cfg = cfg or PropagatorConfig()
     psi0 = np.asarray(psi0, dtype=complex)
     pauli.assert_normalized(psi0)
-    ts, states = refine(
-        lambda steps: _fixed_states(s, psi0, steps), _last_row_change(cfg), cfg, "propagation"
-    )
+
+    def run(steps):
+        ts = time_grid(s, steps)
+        return ts, _fixed_states(_step_unitaries(s.sample, ts), psi0)
+
+    ts, states = refine(run, _last_row_change(cfg), cfg, "propagation")
     return Trajectory(ts, states, _bloch_rows(states), s.label)
 
 

@@ -487,35 +487,72 @@ def run_sweep(cfg: Config, out_dir, fmt="csv", prop=None):
 # one-off gate synthesis
 # ---------------------------------------------------------------------------
 
+def _spec_number(doc, key, default=None):
+    """The finite JSON number ``doc[key]``, or ``default`` when the key is
+    absent and a default exists; ConfigError otherwise."""
+    if key not in doc:
+        if default is None:
+            raise ConfigError(f"gate spec: missing key {key!r}")
+        return default
+    value = doc[key]
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        ok = ok and np.isfinite(float(value))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"gate spec: {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _gate_inputs(doc):
+    """Schedule, cyclic pair and reversal rule name of a gate spec.
+
+    Every value is checked before any propagation: drive parameters are
+    finite JSON numbers, ``delta`` is the integer 0 or 1, ``cos_chi0``
+    lies strictly inside (-1, 1) and ``reversal`` names a rule of
+    REVERSAL_RULES.  Violations raise ConfigError.
+    """
+    reversal = doc.get("reversal", "negated_reversed")
+    if not isinstance(reversal, str) or reversal not in REVERSAL_RULES:
+        raise ConfigError(
+            f"gate spec: unknown reversal {reversal!r}; pick from {sorted(REVERSAL_RULES)}"
+        )
+    delta = doc.get("delta", 0)
+    if isinstance(delta, bool) or not isinstance(delta, int) or delta not in (0, 1):
+        raise ConfigError(f"gate spec: delta must be the integer 0 or 1, got {delta!r}")
     platform = doc.get("platform")
     try:
         if platform == "nmr":
             p = NmrParams(
-                omega0=float(doc["omega0"]),
-                omega1=float(doc["omega1"]),
-                omega=float(doc["omega"]),
-                j=float(doc.get("j", 0.0)),
-                delta=int(doc.get("delta", 0)),
+                omega0=_spec_number(doc, "omega0"),
+                omega1=_spec_number(doc, "omega1"),
+                omega=_spec_number(doc, "omega"),
+                j=_spec_number(doc, "j", 0.0),
+                delta=delta,
             )
-            return nmr_conditional_schedule(p), cyclic_pair_nmr(p)
+            return nmr_conditional_schedule(p), cyclic_pair_nmr(p), reversal
         if platform == "josephson":
-            chi0 = doc.get("chi0")
-            if chi0 is None:
-                chi0 = float(np.arccos(float(doc["cos_chi0"])))
+            if doc.get("chi0") is not None:
+                chi0 = _spec_number(doc, "chi0")
+            else:
+                cos_chi0 = _spec_number(doc, "cos_chi0")
+                if not -1.0 < cos_chi0 < 1.0:
+                    raise ConfigError(
+                        f"gate spec: cos_chi0 must lie strictly inside (-1, 1), got {cos_chi0!r}"
+                    )
+                chi0 = float(np.arccos(cos_chi0))
             p = JosephsonParams(
-                e1=float(doc["e1"]),
-                e2=float(doc["e2"]),
-                e_ch=float(doc["e_ch"]),
-                chi0=float(chi0),
-                omega=float(doc["omega"]),
-                e_i=float(doc.get("e_i", 0.0)),
-                nxc=float(doc.get("nxc", 0.0)),
-                delta=int(doc.get("delta", 0)),
+                e1=_spec_number(doc, "e1"),
+                e2=_spec_number(doc, "e2"),
+                e_ch=_spec_number(doc, "e_ch"),
+                chi0=chi0,
+                omega=_spec_number(doc, "omega"),
+                e_i=_spec_number(doc, "e_i", 0.0),
+                nxc=_spec_number(doc, "nxc", 0.0),
+                delta=delta,
             )
-            return josephson_conditional_schedule(p), cyclic_pair_josephson(p)
-    except KeyError as exc:
-        raise ConfigError(f"gate spec: missing key {exc.args[0]!r}") from exc
+            return josephson_conditional_schedule(p), cyclic_pair_josephson(p), reversal
     except ValueError as exc:
         raise ConfigError(f"gate spec: {exc}") from exc
     raise ConfigError(f"gate spec: platform must be 'nmr' or 'josephson', got {platform!r}")
@@ -538,12 +575,7 @@ def run_gate(cfg: Config, spec_path, out_dir, fmt="json", prop=None):
         raise ConfigError(f"gate spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("gate spec must be a JSON object")
-    reversal = doc.get("reversal", "negated_reversed")
-    if reversal not in REVERSAL_RULES:
-        raise ConfigError(
-            f"gate spec: unknown reversal {reversal!r}; pick from {sorted(REVERSAL_RULES)}"
-        )
-    s, pair = _gate_inputs(doc)
+    s, pair, reversal = _gate_inputs(doc)
     report = synthesize_double_loop(s, pair, prop, reversal)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

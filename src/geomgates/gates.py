@@ -203,8 +203,11 @@ def synthesize_double_loop(
 ) -> GateReport:
     """Run two loops, the second with a reversal rule, and report the gate.
 
-    The composite is the product U2 @ U1 of the two loops' one-period
-    propagators, and the second loop starts from U1 psi_plus.  With the
+    Each loop runs one refinement ladder, ``phases.decompose`` with
+    ``with_unitary=True``: its phase split and its one-period propagator
+    come from the same rungs, so no loop is propagated twice.  The
+    composite is the product U2 @ U1 of the two loops' propagators, and
+    the second loop starts from U1 psi_plus.  With the
     literal echo rule (second-loop field -B(tau - t)) U2 is exactly the
     inverse of U1, so the dynamical phases cancel and the composite
     collapses to the identity; the report quantifies both facts.  The
@@ -216,12 +219,11 @@ def synthesize_double_loop(
     rule = REVERSAL_RULES[reversal] if isinstance(reversal, str) else reversal
     second = rule(s)
 
-    d1 = phases.decompose(s, pair.psi_plus, cfg)
-    u1 = evolve.total_unitary(s, cfg)
-    mid = pauli.normalize(u1 @ pair.psi_plus)
-    d2 = phases.decompose(second, mid, cfg, cyclicity_threshold=np.inf)
+    d1 = phases.decompose(s, pair.psi_plus, cfg, with_unitary=True)
+    mid = pauli.normalize(d1.unitary @ pair.psi_plus)
+    d2 = phases.decompose(second, mid, cfg, cyclicity_threshold=np.inf, with_unitary=True)
 
-    u = evolve.total_unitary(second, cfg) @ u1
+    u = d2.unitary @ d1.unitary
     fin = u @ pair.psi_plus
     # Rounding can push the fidelity a last ulp above 1, as in ``decompose``.
     composite_defect = 1.0 - min(pauli.state_fidelity(pair.psi_plus, fin), 1.0)

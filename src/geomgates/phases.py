@@ -18,7 +18,7 @@ swaps the signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,7 +75,8 @@ class PhaseDecomposition:
     ``total`` and ``geometric`` are branch-reduced to (-pi, pi];
     ``dynamical`` is the raw integral.  ``valid`` flags whether the run was
     cyclic enough (defect below the configured threshold) for the split to
-    be meaningful.
+    be meaningful.  ``unitary`` is the loop's one-period propagator when
+    ``decompose`` was asked for it (``with_unitary=True``), else None.
     """
 
     total: float
@@ -83,6 +84,7 @@ class PhaseDecomposition:
     geometric: float
     cyclicity_defect: float
     valid: bool
+    unitary: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -144,11 +146,14 @@ def cyclic_pair_josephson(p: JosephsonParams, samples=2048, atol=1e-9) -> Cyclic
 
 
 def verify_cyclic(s: FieldSchedule, pair: CyclicPair, cfg=None):
-    """Worst cyclicity defect 1 - |<psi(0)|psi(tau)>| over the pair."""
+    """Worst cyclicity defect 1 - |<psi(0)|psi(tau)>| over the pair.
+
+    Both members are read from one converged one-period propagator.
+    """
+    u = evolve.total_unitary(s, cfg)
     worst = 0.0
     for psi in (pair.psi_plus, pair.psi_minus):
-        fin = evolve.final_state(s, psi, cfg)
-        worst = max(worst, 1.0 - pauli.state_fidelity(psi, fin))
+        worst = max(worst, 1.0 - pauli.state_fidelity(psi, u @ psi))
     return worst
 
 
@@ -184,6 +189,7 @@ def decompose(
     cyclicity_threshold=1e-6,
     quad_tol=1e-9,
     quad_rtol=1e-11,
+    with_unitary=False,
 ) -> PhaseDecomposition:
     """Split the phase acquired over one schedule period.
 
@@ -195,25 +201,35 @@ def decompose(
     floor sits above any fixed absolute tolerance, so a pure absolute
     criterion could never be met.
 
+    With ``with_unitary=True`` the same ladder also yields the loop's
+    one-period propagator: each rung's CF4 steps are built once and feed
+    both the state chain and the pairwise product, and a rung is accepted
+    only when, in addition, the matrix entries move by at most
+    cfg.tolerance (the ``total_unitary`` criterion).  The converged
+    matrix, projected onto the unitary group, is stored on ``unitary``.
+
     Returns
     -------
     PhaseDecomposition
         total = arg<psi0|psi(T)>, dynamical = -integral <H> dt,
         geometric = (total - dynamical) reduced to (-pi, pi],
-        cyclicity_defect = 1 - |<psi0|psi(T)>|, and the validity flag
-        cyclicity_defect <= cyclicity_threshold.
+        cyclicity_defect = 1 - |<psi0|psi(T)>|, the validity flag
+        cyclicity_defect <= cyclicity_threshold, and ``unitary`` (None
+        unless ``with_unitary``).
     """
     cfg = cfg or evolve.PropagatorConfig()
     psi0 = np.asarray(psi0, dtype=complex)
     pauli.assert_normalized(psi0)
 
     def run(steps):
-        ts, states = evolve._fixed_states(s, psi0, steps)
+        ts = evolve.time_grid(s, steps)
+        us = evolve._step_unitaries(s.sample, ts)
+        states = evolve._fixed_states(us, psi0)
         bloch = evolve._bloch_rows(states)
         dyn = -_expectation_integral(s, ts, bloch)
-        return states[-1], dyn
+        return states[-1], dyn, evolve._chain_product(us) if with_unitary else None
 
-    def package(fin_c, dyn_c):
+    def package(fin_c, dyn_c, u_c):
         ov = np.vdot(psi0, fin_c)
         total = float(np.angle(ov))
         # Rounding can push |<psi0|psi(T)>| a last ulp above 1.
@@ -224,14 +240,18 @@ def decompose(
             geometric=pauli.wrap_pi(total - dyn_c),
             cyclicity_defect=defect,
             valid=bool(defect <= cyclicity_threshold),
+            unitary=None if u_c is None else evolve._unitary_projection(u_c),
         )
 
     def criteria(prev, cur):
         bound = quad_tol + quad_rtol * abs(cur[1])
-        return [
+        found = [
             evolve._state_change(prev[0], cur[0], cfg),
             ("dynamical-phase", abs(cur[1] - prev[1]), bound, " rad"),
         ]
+        if with_unitary:
+            found.append(evolve._state_change(prev[2], cur[2], cfg, "matrix"))
+        return found
 
     return package(*evolve.refine(run, criteria, cfg, "phase decomposition"))
 

@@ -245,6 +245,46 @@ def test_diverging_gate_prints_only_the_one_line_error(tmp_path, fast_ini):
     assert "Warning" not in run.stderr
 
 
+_NMR_SPEC = {"platform": "nmr", "omega0": 7.75, "omega1": 0.8, "omega": 1.94}
+_CHARGE_SPEC = {
+    "platform": "josephson", "e1": 1.5625, "e2": 6.25, "e_ch": 39.0625,
+    "cos_chi0": 0.8, "omega": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (dict(_NMR_SPEC, omega0=None), "omega0 must be a finite number"),
+        (dict(_NMR_SPEC, reversal=["a"]), "unknown reversal"),
+        (dict(_NMR_SPEC, omega1=float("nan")), "omega1 must be a finite number"),
+        (dict(_NMR_SPEC, omega0=float("inf")), "omega0 must be a finite number"),
+        (dict(_NMR_SPEC, delta=0.7), "delta must be the integer 0 or 1"),
+        (dict(_CHARGE_SPEC, cos_chi0=2), "cos_chi0 must lie strictly inside (-1, 1)"),
+    ],
+    ids=["null", "unhashable-reversal", "nan", "infinity", "fractional-delta", "cos-above-one"],
+)
+def test_bad_gate_spec_exits_two_with_one_line(tmp_path, fast_ini, spec, message):
+    # A fresh interpreter, so a traceback or a numerical warning would show
+    # on stderr.  The small rung cap keeps a missed check cheap.
+    cp = configparser.ConfigParser()
+    cp.read(fast_ini)
+    cp.set("numerics", "max_refinements", "2")
+    ini = tmp_path / "capped.ini"
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(spec))
+    run = _run_python(
+        "-m", "geomgates.cli", "gate", str(path), "--config", str(ini),
+        "--out", str(tmp_path / "out"),
+    )
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1
+    assert message in run.stderr
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["render"])

@@ -37,7 +37,8 @@ def test_fourth_order_convergence_against_oracle():
     ref = evolve.rotating_frame_oracle(P, PSI0, s.period)
 
     def err(steps):
-        _, states = evolve._fixed_states(s, PSI0, steps)
+        us = evolve._step_unitaries(s.sample, evolve.time_grid(s, steps))
+        states = evolve._fixed_states(us, PSI0)
         return float(np.max(np.abs(states[-1] - ref)))
 
     e1, e2 = err(128), err(256)

@@ -1,13 +1,15 @@
 """Physics invariants on random drives (Hypothesis, profile in conftest)."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomgates import experiments, fields, phases
+from geomgates import evolve, experiments, fields, gates, phases, verify
 from geomgates.evolve import total_unitary
-from geomgates.pauli import angle_dist
+from geomgates.pauli import angle_dist, unitarity_defect
 
 nmr_params = st.builds(
     fields.NmrParams,
@@ -47,3 +49,73 @@ def test_total_minus_dynamical_follows_loop_phase_law(accurate, p):
     pair = phases.cyclic_pair_nmr(p)
     d = phases.decompose(fields.nmr_schedule(p), pair.psi_plus, accurate)
     assert angle_dist(d.total - d.dynamical, -phases.loop_phase(pair.chi)) <= 1e-9
+
+
+@given(p=nmr_params)
+def test_total_unitary_is_unitary(accurate, p):
+    assert unitarity_defect(total_unitary(fields.nmr_schedule(p), accurate)) <= 1e-12
+
+
+@given(p=nmr_params)
+def test_cyclic_pair_returns_to_itself(accurate, p):
+    pair = phases.cyclic_pair_nmr(p)
+    assert phases.verify_cyclic(fields.nmr_schedule(p), pair, accurate) <= 1e-8
+
+
+@contextmanager
+def _stepped():
+    """Record (sampler, step count) of every CF4 step-unitary build inside
+    the block."""
+    counts = []
+    orig = evolve._step_unitaries
+
+    def counting(sample, ts):
+        counts.append((sample, len(ts) - 1))
+        return orig(sample, ts)
+
+    evolve._step_unitaries = counting
+    try:
+        yield counts
+    finally:
+        evolve._step_unitaries = orig
+
+
+def _assert_fused_ladder(s, psi, cfg):
+    """The matrix-carrying ladder agrees with the plain decomposition and
+    with ``total_unitary``."""
+    with _stepped() as fused_rungs:
+        fused = phases.decompose(s, psi, cfg, with_unitary=True)
+    with _stepped() as plain_rungs:
+        plain = phases.decompose(s, psi, cfg)
+    assert plain.unitary is None
+    # The extra matrix criterion can only add rungs, never stop earlier.
+    assert fused_rungs[: len(plain_rungs)] == plain_rungs
+    if fused_rungs == plain_rungs:
+        assert fused == plain
+    assert angle_dist(fused.total, plain.total) <= cfg.tolerance
+    assert angle_dist(fused.geometric, plain.geometric) <= cfg.tolerance
+    assert abs(fused.dynamical - plain.dynamical) <= cfg.tolerance
+    assert abs(fused.cyclicity_defect - plain.cyclicity_defect) <= cfg.tolerance
+    assert fused.valid == plain.valid
+    assert np.max(np.abs(fused.unitary - total_unitary(s, cfg))) <= cfg.tolerance
+
+
+@given(p=nmr_params)
+def test_fused_ladder_matches_separate_ladders(accurate, p):
+    _assert_fused_ladder(fields.nmr_schedule(p), phases.cyclic_pair_nmr(p).psi_plus, accurate)
+
+
+def test_fused_ladder_matches_separate_ladders_on_charge_drive(cfg, accurate):
+    # A slow loop on which the matrix criterion needs one rung more than the
+    # state and phase criteria, so the two results differ within tolerance.
+    jp = verify._josephson_reference(cfg, ratio=400.0)
+    pair = phases.cyclic_pair_josephson(jp)
+    _assert_fused_ladder(fields.josephson_schedule(jp), pair.psi_plus, accurate)
+
+
+def test_double_loop_steps_each_rung_once(accurate):
+    p = fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1)
+    with _stepped() as seen:
+        gates.synthesize_double_loop(fields.nmr_schedule(p), phases.cyclic_pair_nmr(p), accurate)
+    assert seen
+    assert len(set(seen)) == len(seen)
