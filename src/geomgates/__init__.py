@@ -23,10 +23,8 @@ from .evolve import (  # noqa: F401
     NonConvergenceError,
     PropagatorConfig,
     Trajectory,
-    bloch_integrate,
     final_state,
     propagate,
-    propagate_two_qubit,
     rotating_frame_oracle,
     total_unitary,
 )
@@ -67,7 +65,6 @@ from .phases import (  # noqa: F401
     CyclicPair,
     PhaseDecomposition,
     SolidAngleResult,
-    antisymmetry_check,
     berry_adiabatic,
     cyclic_pair_josephson,
     cyclic_pair_nmr,

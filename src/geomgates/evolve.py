@@ -16,13 +16,10 @@ The state at every grid point (needed for the dynamical-phase integral)
 comes from a blocked prefix product of the step unitaries: the products
 of fixed-size blocks are formed at once by a pairwise tree, one short loop
 carries the state across block starts, and all blocks then step forward
-side by side.  The same whole-array code serves the 2x2 single-qubit and
-eigenblock chains and the dense 4x4 chain.
+side by side.  The same whole-array code serves any state dimension.
 
 Also provided: a closed-form rotating-frame solution for the NMR-style
-drive (used as an independent oracle), a classical Bloch-equation
-integrator for cross-validation, and exact block / dense propagation of
-the coupled two-qubit model.
+drive, used as an independent oracle.
 """
 
 from __future__ import annotations
@@ -32,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pauli
-from .csvio import write_table
 from .fields import FieldSchedule, NmrParams, TwoQubitModel
-from .pauli import expm_pauli, reduced_bloch
+from .pauli import expm_pauli
 
 __all__ = [
     "PropagatorConfig",
@@ -45,9 +41,6 @@ __all__ = [
     "final_state",
     "total_unitary",
     "rotating_frame_oracle",
-    "bloch_integrate",
-    "propagate_two_qubit",
-    "trajectory_to_csv",
 ]
 
 
@@ -119,33 +112,26 @@ def _state_change(a, b, cfg: PropagatorConfig, name="state"):
     return (name, float(np.max(np.abs(b - a))), cfg.tolerance, "")
 
 
-def _last_row_change(cfg: PropagatorConfig, name="state"):
+def _last_row_change(cfg: PropagatorConfig):
     """Criteria on the last rows of two (grid, rows) rungs."""
-    return lambda a, b: [_state_change(a[1][-1], b[1][-1], cfg, name)]
+    return lambda a, b: [_state_change(a[1][-1], b[1][-1], cfg)]
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Propagation history on a fixed time grid.
+    """Single-qubit propagation history on a fixed time grid.
 
-    ``states`` is (n, d) complex (None for classical Bloch runs); ``bloch``
-    is (n, 3) for a single qubit and (n, 2, 3) per-qubit reductions for the
-    coupled pair; the grid runs from times[0] == 0 to the schedule period.
+    ``states`` is (n, 2) complex and ``bloch`` the (n, 3) Bloch vectors of
+    its rows; the grid runs from times[0] == 0 to the schedule period.
     """
 
     times: np.ndarray
-    states: np.ndarray | None
+    states: np.ndarray
     bloch: np.ndarray
     schedule_label: str
 
     @property
-    def duration(self):
-        return float(self.times[-1])
-
-    @property
     def final_state(self):
-        if self.states is None:
-            raise ValueError("classical trajectory has no state vector")
         return self.states[-1]
 
 
@@ -354,61 +340,6 @@ def rotating_frame_oracle(p: NmrParams, psi0, t):
     return frame @ (core @ psi0)
 
 
-def _rotation_matrices(axes, angles):
-    """Rodrigues rotation matrices about unit axes, batched."""
-    c = np.cos(angles)[:, None, None]
-    s = np.sin(angles)[:, None, None]
-    k = axes
-    kk = np.einsum("ni,nj->nij", k, k)
-    cross = np.zeros_like(kk)
-    cross[:, 0, 1], cross[:, 0, 2] = -k[:, 2], k[:, 1]
-    cross[:, 1, 0], cross[:, 1, 2] = k[:, 2], -k[:, 0]
-    cross[:, 2, 0], cross[:, 2, 1] = -k[:, 1], k[:, 0]
-    eye = np.eye(3)
-    return c * eye + s * cross + (1.0 - c) * kk
-
-
-def _fixed_bloch(s: FieldSchedule, n0, steps_per_period):
-    ts = time_grid(s, steps_per_period)
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    dts = np.diff(ts)
-    b = np.asarray(s.sample(mids), dtype=float)
-    nb = np.linalg.norm(b, axis=-1)
-    safe = np.where(nb > 0.0, nb, 1.0)
-    axes = -b / safe[:, None]
-    rots = _rotation_matrices(axes, nb * dts)
-    out = np.empty((len(ts), 3))
-    out[0] = n0
-    v = np.asarray(n0, dtype=float)
-    for k in range(rots.shape[0]):
-        v = rots[k] @ v
-        v = v / np.linalg.norm(v)  # drift stays below 1e-12 per step
-        out[k + 1] = v
-    return ts, out
-
-
-def bloch_integrate(s: FieldSchedule, n0, cfg: PropagatorConfig | None = None) -> Trajectory:
-    """Integrate the classical precession dn/dt = n x B.
-
-    The sign convention matches H = -(1/2) B . sigma: the quantum Bloch
-    vector of ``propagate`` and this integrator agree.  Steps are exact
-    rotations about the midpoint field, renormalized each step, so this
-    reference is second order, independent of the CF4 stepper.
-    """
-    cfg = cfg or PropagatorConfig()
-    n0 = np.asarray(n0, dtype=float)
-    if abs(np.linalg.norm(n0) - 1.0) > 1e-8:
-        raise ValueError("initial Bloch vector must be unit length")
-
-    ts, path = refine(
-        lambda steps: _fixed_bloch(s, n0, steps),
-        _last_row_change(cfg, "Bloch vector"),
-        cfg,
-        "Bloch integration",
-    )
-    return Trajectory(ts, None, path, s.label)
-
-
 def _dense_step_unitaries(model: TwoQubitModel, ts):
     """CF4 step unitaries of the full 4x4 Hamiltonian (fourth order).
 
@@ -422,75 +353,3 @@ def _dense_step_unitaries(model: TwoQubitModel, ts):
     phases = np.exp(-1j * w * dts[:, None])
     first, second = np.einsum("snij,snj,snkj->snik", v, phases, v.conj())
     return _stacked_matmul(second, first)
-
-
-def propagate_two_qubit(
-    model: TwoQubitModel,
-    psi0,
-    cfg: PropagatorConfig | None = None,
-    method: str = "block",
-) -> Trajectory:
-    """Propagate the coupled pair.
-
-    method 'block' uses the exact sz(x)I eigenblock decomposition (each
-    block is a 2x2 problem driven by the conditional schedule plus a scalar
-    control energy); it requires an undriven control.  method 'dense'
-    takes the same fourth-order steps on the full 4x4 Hamiltonian via
-    Hermitian eigendecomposition and works for every model; it serves as
-    the independent cross-check of the block path.
-    """
-    cfg = cfg or PropagatorConfig()
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (4,):
-        raise ValueError(f"expected a length-4 state, got shape {psi0.shape}")
-    pauli.assert_normalized(psi0)
-    if method not in ("block", "dense"):
-        raise ValueError(f"method must be 'block' or 'dense', got {method!r}")
-    if method == "block" and model.drive_on_control:
-        raise ValueError("driven control does not commute with sz(x)I; use method='dense'")
-
-    def run(steps):
-        if method == "dense":
-            ts = time_grid(model.target, steps)
-            states = _apply_chain(_dense_step_unitaries(model, ts), psi0)
-        else:
-            blocks = []
-            for delta in (0, 1):
-                sched = model.block_schedule(delta)
-                ts = time_grid(sched, steps)
-                us = _step_unitaries(sched.sample, ts)
-                # blocks carry unnormalized (possibly zero) parts of psi0
-                block = _apply_chain(us, psi0[2 * delta : 2 * delta + 2])
-                phase = np.exp(-1j * model.block_energy(delta) * ts)
-                blocks.append(phase[:, None] * block)
-            states = np.concatenate(blocks, axis=1)
-        # once per rung, on full rows only: see ``_fixed_states``
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        return ts, states
-
-    ts, states = refine(run, _last_row_change(cfg), cfg, "two-qubit propagation")
-    nc, nt = reduced_bloch(states)
-    return Trajectory(ts, states, np.stack([nc, nt], axis=1), model.label)
-
-
-def trajectory_to_csv(traj: Trajectory, path, params=None):
-    """Export a trajectory: times, state components, Bloch components."""
-    meta = {"schedule": traj.schedule_label, "duration": traj.duration}
-    if params:
-        meta.update(params)
-    cols = [("t", traj.times)]
-    if traj.states is not None:
-        d = traj.states.shape[1]
-        for i in range(d):
-            cols.append((f"re_psi{i}", traj.states[:, i].real))
-            cols.append((f"im_psi{i}", traj.states[:, i].imag))
-    b = traj.bloch
-    if b.ndim == 2:
-        for i, name in enumerate(("nx", "ny", "nz")):
-            cols.append((name, b[:, i]))
-    else:
-        for q, tag in enumerate(("control", "target")):
-            for i, name in enumerate(("nx", "ny", "nz")):
-                cols.append((f"{tag}_{name}", b[:, q, i]))
-    write_table(path, meta, cols)
-    return path

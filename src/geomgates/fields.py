@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .csvio import write_table
 from .pauli import PAULI, kron
 
 __all__ = [
@@ -42,10 +41,7 @@ __all__ = [
     "negated_schedule",
     "time_reversed_schedule",
     "reversed_schedule",
-    "closure_gap",
-    "hamiltonian",
     "nmr_two_qubit",
-    "schedule_to_csv",
     "rotation_about_y",
 ]
 
@@ -336,19 +332,6 @@ def reversed_schedule(s: FieldSchedule) -> FieldSchedule:
     return FieldSchedule(sample=sample, period=tau, label=f"reversed[{s.label}]")
 
 
-def closure_gap(s: FieldSchedule):
-    """max |B(period) - B(0)| component-wise; 0 for a closed loop."""
-    b0 = s.sample(0.0)
-    b1 = s.sample(s.period)
-    return float(np.max(np.abs(b1 - b0)))
-
-
-def hamiltonian(s: FieldSchedule, t):
-    """Single-qubit Hamiltonian -(1/2) B(t) . sigma, shape (..., 2, 2)."""
-    b = np.asarray(s.sample(t), dtype=float)
-    return -0.5 * np.einsum("...k,kij->...ij", b, PAULI)
-
-
 @dataclass(frozen=True)
 class TwoQubitModel:
     """Control/target pair with zz coupling, control as left tensor factor.
@@ -430,18 +413,4 @@ def nmr_two_qubit(p: NmrParams, omega1_control, drive_on_control=False) -> TwoQu
         control_z=float(omega1_control),
         drive_on_control=drive_on_control,
         label=f"nmr_pair(j={p.j:g}, wc={omega1_control:g})",
-    )
-
-
-def schedule_to_csv(s: FieldSchedule, path, samples_per_period=4096, params=None):
-    """Export t, Bx, By, Bz on a uniform grid over the schedule period."""
-    ts = np.linspace(0.0, s.period, max(int(samples_per_period), 2) + 1)
-    b = s.sample(ts)
-    meta = {"schedule": s.label, "period": s.period}
-    if params:
-        meta.update(params)
-    write_table(
-        path,
-        meta,
-        [("t", ts), ("Bx", b[:, 0]), ("By", b[:, 1]), ("Bz", b[:, 2])],
     )

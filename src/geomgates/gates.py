@@ -13,7 +13,7 @@ control qubit stacks two such blocks into a 4x4 diagonal-block gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "gate_fidelity",
     "align_phase",
     "max_aligned_deviation",
-    "measured_loop_phase",
     "synthesize_double_loop",
     "REVERSAL_RULES",
     "gate_report_to_json",
@@ -149,15 +148,8 @@ def max_aligned_deviation(u, v):
     return float(np.max(np.abs(np.asarray(u, complex) - ph * np.asarray(v, complex))))
 
 
-def measured_loop_phase(s: FieldSchedule, pair: phases.CyclicPair, cfg=None):
-    """Loop eigenphase of the psi_plus member: arg<psi_+|U|psi_+>."""
-    fin = evolve.final_state(s, pair.psi_plus, cfg)
-    return pauli.overlap_phase(pair.psi_plus, fin)
-
-
-# Reversal rules for the second loop of the echo protocol.  The literal
-# rule (sign-flipped retrace) is the default; alternatives can be swapped
-# in without touching the synthesis code.
+# Reversal rules for the second loop of the echo protocol, by name.  The
+# literal rule (sign-flipped retrace) is the default.
 REVERSAL_RULES = {
     "negated_reversed": reversed_schedule,
     "time_reversed": time_reversed_schedule,
@@ -212,12 +204,11 @@ def synthesize_double_loop(
     inverse of U1, so the dynamical phases cancel and the composite
     collapses to the identity; the report quantifies both facts.  The
     intended doubled cone gate U(chi, 2 gamma_loop) is used as the
-    comparison target.  Pass a different rule name from REVERSAL_RULES (or
-    any schedule transform) to evaluate protocol variants.
+    comparison target.  Pass a different rule name from REVERSAL_RULES to
+    evaluate protocol variants.
     """
     cfg = cfg or evolve.PropagatorConfig()
-    rule = REVERSAL_RULES[reversal] if isinstance(reversal, str) else reversal
-    second = rule(s)
+    second = REVERSAL_RULES[reversal](s)
 
     d1 = phases.decompose(s, pair.psi_plus, cfg, with_unitary=True)
     mid = pauli.normalize(d1.unitary @ pair.psi_plus)
@@ -252,7 +243,7 @@ def synthesize_double_loop(
             "dynamical_cancelled": bool(abs(dyn_sum) <= 1e-6),
             "identity_reached": bool(max_aligned_deviation(eye, u) <= 1e-6),
             "cyclic": bool(composite_defect <= 1e-6),
-            "reversal": reversal if isinstance(reversal, str) else getattr(rule, "__name__", "custom"),
+            "reversal": reversal,
         },
     )
     return report
@@ -260,21 +251,7 @@ def synthesize_double_loop(
 
 def gate_report_to_json(report: GateReport, path):
     """Write a GateReport as JSON (matrix split into re/im parts)."""
-    doc = {
-        "label": report.label,
-        "chi": report.chi,
-        "matrix_re": report.matrix.real,
-        "matrix_im": report.matrix.imag,
-        "loop1": report.loop1,
-        "loop2": report.loop2,
-        "dynamical_sum": report.dynamical_sum,
-        "geometric_sum": report.geometric_sum,
-        "composite_defect": report.composite_defect,
-        "target_gamma": report.target_gamma,
-        "fidelity_target": report.fidelity_target,
-        "fidelity_identity": report.fidelity_identity,
-        "deviation_target": report.deviation_target,
-        "deviation_identity": report.deviation_identity,
-        "flags": report.flags,
-    }
+    doc = asdict(report)
+    matrix = doc.pop("matrix")
+    doc["matrix_re"], doc["matrix_im"] = matrix.real, matrix.imag
     return write_json(path, doc)

@@ -26,10 +26,8 @@ __all__ = [
     "assert_normalized",
     "bloch_of_state",
     "state_of_angles",
-    "bloch_angles",
     "expm_pauli",
     "kron",
-    "is_unitary",
     "unitarity_defect",
     "state_fidelity",
     "overlap_phase",
@@ -103,14 +101,6 @@ def state_of_angles(theta, phi):
     )
 
 
-def bloch_angles(n):
-    """Polar and azimuthal angles of a Bloch vector."""
-    n = np.asarray(n, dtype=float)
-    theta = np.arctan2(np.hypot(n[0], n[1]), n[2])
-    phi = np.arctan2(n[1], n[0])
-    return theta, phi
-
-
 def expm_pauli(b, s):
     """Closed-form exponential exp(i s (b . sigma)).
 
@@ -156,10 +146,6 @@ def unitarity_defect(u):
     u = np.asarray(u, dtype=complex)
     d = u.conj().T @ u - np.eye(u.shape[0])
     return float(np.max(np.abs(d)))
-
-
-def is_unitary(u, atol=UNITARY_ATOL):
-    return unitarity_defect(u) <= atol
 
 
 def state_fidelity(a, b):

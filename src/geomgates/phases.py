@@ -40,9 +40,7 @@ __all__ = [
     "verify_cone",
     "verify_cyclic",
     "decompose",
-    "dynamical_phase",
     "solid_angle",
-    "antisymmetry_check",
     "berry_adiabatic",
     "loop_phase",
 ]
@@ -256,13 +254,6 @@ def decompose(
     return package(*evolve.refine(run, criteria, cfg, "phase decomposition"))
 
 
-def dynamical_phase(s: FieldSchedule, psi0, cfg=None, quad_tol=1e-9, quad_rtol=1e-11):
-    """Dynamical phase -integral <H> dt alone (no cyclicity requirement)."""
-    return decompose(
-        s, psi0, cfg, cyclicity_threshold=np.inf, quad_tol=quad_tol, quad_rtol=quad_rtol
-    ).dynamical
-
-
 def _nearest_fill(values, good):
     """Replace bad entries with the value at the nearest good index."""
     idx = np.arange(len(values))
@@ -314,13 +305,6 @@ def solid_angle(path, closed_atol=1e-6) -> SolidAngleResult:
     gamma = -0.5 * (4.0 * i_h - i_2h) / 3.0
     winding = int(round((phi[-1] - phi[0]) / (2.0 * np.pi)))
     return SolidAngleResult(gamma, winding, float(theta.min()), float(theta.max()))
-
-
-def antisymmetry_check(s: FieldSchedule, pair: CyclicPair, cfg=None):
-    """Geometric phases of both pair members (they negate modulo 2 pi)."""
-    g_plus = decompose(s, pair.psi_plus, cfg).geometric
-    g_minus = decompose(s, pair.psi_minus, cfg).geometric
-    return g_plus, g_minus
 
 
 def berry_adiabatic(s: FieldSchedule, samples=4096):

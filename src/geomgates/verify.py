@@ -20,7 +20,6 @@ from .config import Config
 from .evolve import final_state, propagate, rotating_frame_oracle, total_unitary
 from .fields import (
     NmrParams,
-    negated_schedule,
     nmr_conditional_schedule,
     nmr_schedule,
     nmr_two_qubit,
@@ -89,9 +88,6 @@ class VerificationReport:
     @property
     def passed(self):
         return all(c.passed for c in self.checks if c.asserted)
-
-    def failures(self):
-        return [c for c in self.checks if c.asserted and not c.passed]
 
     def to_columns(self):
         return [
@@ -274,13 +270,15 @@ def check_antisymmetry(cfg: Config, prop=None):
     p = _nmr_reference(cfg)
     s = nmr_schedule(p)
     pair = phases.cyclic_pair_nmr(p)
-    gp, gm = phases.antisymmetry_check(s, pair, prop)
+    gp = phases.decompose(s, pair.psi_plus, prop).geometric
+    gm = phases.decompose(s, pair.psi_minus, prop).geometric
     out = [_le("antisymmetry_rotating_drive", angle_dist(gm, -gp), 1e-8)]
 
     jp = _josephson_reference(cfg)
     js = experiments.josephson_schedule(jp)
     jpair = phases.cyclic_pair_josephson(jp)
-    gp, gm = phases.antisymmetry_check(js, jpair, prop)
+    gp = phases.decompose(js, jpair.psi_plus, prop).geometric
+    gm = phases.decompose(js, jpair.psi_minus, prop).geometric
     out.append(_le("antisymmetry_charge_drive", angle_dist(gm, -gp), 1e-8))
     return out
 

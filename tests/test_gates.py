@@ -119,7 +119,7 @@ def test_reconstruct_gate_from_runs_matches_cone_form(accurate):
     pair = phases.cyclic_pair_nmr(P)
     assert phases.verify_cyclic(s, pair, accurate) <= 1e-6
     u = evolve.total_unitary(s, accurate)
-    gamma = gates.measured_loop_phase(s, pair, accurate)
+    gamma = pauli.overlap_phase(pair.psi_plus, evolve.final_state(s, pair.psi_plus, accurate))
     target = gates.build_gate(gates.GateSpec(pair.chi, gamma))
     assert gates.max_aligned_deviation(target, u) < 1e-8
     # the loop eigenphase is the full (dynamical + geometric) phase; the

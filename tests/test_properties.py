@@ -39,8 +39,9 @@ def test_block_totals_equal_dense_totals(accurate, omega0, omega1, omega, j, con
 
 @given(p=nmr_params)
 def test_pair_members_take_opposite_geometric_phases(accurate, p):
-    pair = phases.cyclic_pair_nmr(p)
-    g_plus, g_minus = phases.antisymmetry_check(fields.nmr_schedule(p), pair, accurate)
+    pair, s = phases.cyclic_pair_nmr(p), fields.nmr_schedule(p)
+    g_plus = phases.decompose(s, pair.psi_plus, accurate).geometric
+    g_minus = phases.decompose(s, pair.psi_minus, accurate).geometric
     assert angle_dist(g_plus, -g_minus) <= 1e-9
 
 
@@ -60,6 +61,26 @@ def test_total_unitary_is_unitary(accurate, p):
 def test_cyclic_pair_returns_to_itself(accurate, p):
     pair = phases.cyclic_pair_nmr(p)
     assert phases.verify_cyclic(fields.nmr_schedule(p), pair, accurate) <= 1e-8
+
+
+@given(
+    e1=st.floats(0.5, 2.0),
+    ratio=st.floats(0.2, 0.8),
+    e_ch=st.floats(10.0, 40.0),
+    cos_chi0=st.floats(-0.9, 0.9),
+    tau_e1=st.floats(3.0, 30.0),
+)
+def test_charge_pair_returns_to_itself(accurate, e1, ratio, e_ch, cos_chi0, tau_e1):
+    jp = fields.JosephsonParams(
+        e1=e1,
+        e2=ratio * e1,
+        e_ch=e_ch,
+        chi0=float(np.arccos(cos_chi0)),
+        omega=2.0 * np.pi * e1 / tau_e1,
+    )
+    pair = phases.cyclic_pair_josephson(jp)
+    # the bound of the verify row cyclicity_charge_drive
+    assert phases.verify_cyclic(fields.josephson_schedule(jp), pair, accurate) <= 1e-8
 
 
 @contextmanager
