@@ -7,6 +7,15 @@ two Gauss nodes and applies two closed-form Pauli exponentials of fixed
 linear combinations of the samples.  Every step is exactly unitary and
 the global error is fourth order in the step size.
 
+A single-qubit step is an SU(2) element, so it is built, multiplied and
+chained as 4 reals: its unit quaternion, kept as the complex pair
+(alpha, beta) of the matrix's first row (``pauli._su2_exp``).  Products
+of pairs take the quaternion product's 16 real multiply-adds, and 2x2
+complex matrices appear only at the boundary: a propagator handed to the
+caller, and the state-stepping stage of the chain.  The dense two-qubit
+steps stay 4x4 complex; a step array's shape, (n, 2) or (n, d, d), says
+which form it holds.
+
 Accuracy is controlled by one step-doubling driver, ``refine``: it runs a
 fixed-resolution pass per rung, doubling the steps, until two successive
 rungs agree on every criterion the caller names, and reports the last
@@ -30,7 +39,7 @@ import numpy as np
 
 from . import pauli
 from .fields import FieldSchedule, NmrParams, TwoQubitModel
-from .pauli import expm_pauli
+from .pauli import _su2_exp, _su2_matrix, _su2_mul, expm_pauli
 
 __all__ = [
     "PropagatorConfig",
@@ -161,18 +170,20 @@ def _gauss_nodes(ts):
 
 
 def _step_unitaries(sample, ts):
-    """CF4 step unitaries for H = -(1/2) B . sigma.
+    """CF4 step unitaries for H = -(1/2) B . sigma, as SU(2) pairs.
 
     With B1, B2 the field at the step's Gauss nodes, the step is
     exp(-i h (a1 H1 + a2 H2)) exp(-i h (a2 H1 + a1 H2)); the right factor,
     weighted towards B1, acts first.  Each factor is
-    exp(+i (h/2) B' . sigma) in closed form.
+    exp(+i (h/2) B' . sigma) in closed form, and one SU(2) product composes
+    the two.  Returns shape (n, 2) complex, the Cayley-Klein pairs of the
+    steps' unit quaternions, stored pair-major (see ``pauli._su2_exp``).
     """
     nodes, dts = _gauss_nodes(ts)
     b1, b2 = np.asarray(sample(nodes), dtype=float)
-    first = expm_pauli(_A2 * b1 + _A1 * b2, 0.5 * dts)
-    second = expm_pauli(_A1 * b1 + _A2 * b2, 0.5 * dts)
-    return _stacked_matmul(second, first)
+    first = _su2_exp(_A2 * b1 + _A1 * b2, 0.5 * dts)
+    second = _su2_exp(_A1 * b1 + _A2 * b2, 0.5 * dts)
+    return _su2_mul(second, first)
 
 
 # Steps per block of the blocked chain in ``_apply_chain``.
@@ -194,26 +205,33 @@ def _stacked_matmul(a, c):
 def _apply_chain(us, psi0):
     """States psi_k = us[k-1] @ ... @ us[0] @ psi0 for k = 0..n.
 
-    Blocked prefix product, for any state dimension d.  The steps are cut
+    Blocked prefix product, for any state dimension d; ``us`` holds SU(2)
+    pair steps (n, 2) or complex matrices (n, d, d).  The steps are cut
     into blocks of ``_CHAIN_BLOCK``; the products of all blocks but the
-    last (which are all full) are formed at once by a pairwise tree; one
-    short loop carries the state across block starts; then every block
-    steps its own state forward side by side, one column at a time.
-    Column i of the blocks is the strided view us[i::block], so only the
-    last block is short and ``us`` is never padded or copied.
+    last (which are all full) are formed at once by a pairwise tree, in the
+    steps' own form; one short loop carries the state across block starts;
+    then every block steps its own state forward side by side, one column
+    at a time, on complex matrices.  Column i of the blocks is the strided
+    view us[i::block], so only the last block is short and no block is
+    padded.
     """
+    su2 = us.ndim == 2  # (n, 2) SU(2) pairs, not (n, d, d) matrices
+    mul = _su2_mul if su2 else _stacked_matmul
     n, d = us.shape[0], psi0.shape[0]
     b = _CHAIN_BLOCK
     nblk = -(-n // b)
     states = np.empty((n + 1, d), dtype=complex)
     states[0] = psi0
-    prods = us[: (nblk - 1) * b].reshape(nblk - 1, b, d, d)
+    prods = us[: (nblk - 1) * b].reshape((nblk - 1, b) + us.shape[1:])
     while prods.shape[1] > 1:
-        prods = _stacked_matmul(prods[:, 1::2], prods[:, 0::2])
+        prods = mul(prods[:, 1::2], prods[:, 0::2])
+    heads = prods[:, 0]
+    if su2:
+        heads, us = _su2_matrix(heads), _su2_matrix(us)
     starts = np.empty((nblk, d), dtype=complex)
     starts[0] = psi0
     for j in range(nblk - 1):
-        starts[j + 1] = prods[j, 0] @ starts[j]
+        starts[j + 1] = heads[j] @ starts[j]
     psi = starts[..., None]
     for i in range(min(b, n)):
         col = us[i::b]
@@ -223,13 +241,19 @@ def _apply_chain(us, psi0):
 
 
 def _chain_product(us):
-    """Ordered product us[n-1] @ ... @ us[0] via pairwise tree reduction."""
+    """Ordered product us[n-1] @ ... @ us[0] via pairwise tree reduction.
+
+    SU(2) pair steps (n, 2) are multiplied as pairs and the product is
+    returned as a 2x2 complex matrix; (n, d, d) matrices stay matrices.
+    """
+    su2 = us.ndim == 2  # (n, 2) SU(2) pairs, not (n, d, d) matrices
+    mul = _su2_mul if su2 else _stacked_matmul
     m = us
     while m.shape[0] > 1:
         odd = m.shape[0] % 2
-        paired = _stacked_matmul(m[odd + 1 :: 2], m[odd::2])
+        paired = mul(m[odd + 1 :: 2], m[odd::2])
         m = np.concatenate([m[:1], paired]) if odd else paired
-    return m[0]
+    return _su2_matrix(m[0]) if su2 else m[0]
 
 
 def _fixed_states(us, psi0):

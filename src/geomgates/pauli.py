@@ -115,25 +115,67 @@ def expm_pauli(b, s):
     -------
     ndarray, shape (..., 2, 2)
         cos(s|b|) I + i sin(s|b|) (bhat . sigma), exactly unitary up to
-        rounding. b = 0 yields the identity for any s.  The four entries
-        are filled directly: with c = cos(s|b|) and k = sin(s|b|)/|b|,
-        U = [[c + i k b_z, k (b_y + i b_x)], [k (-b_y + i b_x), c - i k b_z]].
+        rounding. b = 0 yields the identity for any s.  The SU(2) pair of
+        ``_su2_exp`` filled into the four entries by ``_su2_matrix``.
     """
-    b = np.asarray(b, dtype=float)
-    s = np.asarray(s, dtype=float)
-    nb = np.linalg.norm(b, axis=-1)
+    return _su2_matrix(_su2_exp(np.asarray(b, dtype=float), np.asarray(s, dtype=float)))
+
+
+# SU(2) elements as 4 reals.  The unit quaternion (w, x, y, z), standing
+# for w I + i (x sx + y sy + z sz) with w^2 + x^2 + y^2 + z^2 = 1, is kept
+# in its Cayley-Klein form: the complex pair (alpha, beta) = (w + iz, y + ix)
+# of the matrix [[alpha, beta], [-conj(beta), conj(alpha)]].  The pair axis
+# is the last one, but arrays built here store it pair-major (the view is
+# the transpose of a (2, ...) array), so alpha and beta are each contiguous.
+
+
+def _su2_exp(b, s):
+    """SU(2) pair of exp(i s (b . sigma)) for b of shape (..., 3).
+
+    w = c and (x, y, z) = k b, with c = cos(s|b|) and k = sin(s|b|)/|b|
+    taken directly; b = 0 gives exactly (1, 0) for any s.
+    """
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    nb = np.sqrt(bx * bx + by * by + bz * bz)
     ang = s * nb
-    safe = np.where(nb > 0.0, nb, 1.0)
-    c = np.cos(ang)
-    kb = np.sin(ang)[..., None] * (b / safe[..., None])
-    kx, ky, kz = kb[..., 0], kb[..., 1], kb[..., 2]
-    # Real and imaginary parts of the four entries, side by side.
-    u = np.empty(c.shape + (2, 2, 2))
-    u[..., 0, 0, 0], u[..., 0, 0, 1] = c, kz
-    u[..., 0, 1, 0], u[..., 0, 1, 1] = ky, kx
-    u[..., 1, 0, 0], u[..., 1, 0, 1] = -ky, kx
-    u[..., 1, 1, 0], u[..., 1, 1, 1] = c, -kz
-    return u.view(complex)[..., 0]
+    k = np.sin(ang) / np.where(nb > 0.0, nb, 1.0)
+    p = np.empty((2,) + ang.shape, dtype=complex)
+    p.real[0], p.imag[0] = np.cos(ang), k * bz
+    p.real[1], p.imag[1] = k * by, k * bx
+    return _pair_axis_last(p)
+
+
+def _su2_mul(a, c):
+    """SU(2) pair of the matrix product a @ c, entry-wise over stacks.
+
+    alpha = alpha_a alpha_c - beta_a conj(beta_c) and
+    beta = alpha_a beta_c + beta_a conj(alpha_c): the quaternion product's
+    16 real multiply-adds, as four complex products.
+    """
+    aa, ab, ca, cb = a[..., 0], a[..., 1], c[..., 0], c[..., 1]
+    p = np.empty((2,) + np.broadcast_shapes(aa.shape, ca.shape), dtype=complex)
+    p[0] = aa * ca - ab * cb.conj()
+    p[1] = aa * cb + ab * ca.conj()
+    return _pair_axis_last(p)
+
+
+def _pair_axis_last(p):
+    """View of a pair-major (2, ...) array with the pair axis last.
+
+    A plain transpose: ``np.moveaxis`` costs several microseconds per call,
+    as much as a product of two short stacks, and a product tree calls
+    this once per level.
+    """
+    return p.transpose(tuple(range(1, p.ndim)) + (0,))
+
+
+def _su2_matrix(p):
+    """2x2 complex matrices [[alpha, beta], [-conj(beta), conj(alpha)]] of SU(2) pairs."""
+    alpha, beta = p[..., 0], p[..., 1]
+    u = np.empty(alpha.shape + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 0, 1] = alpha, beta
+    u[..., 1, 0], u[..., 1, 1] = -beta.conj(), alpha.conj()
+    return u
 
 
 def kron(a, b):

@@ -148,7 +148,11 @@ def verify_cyclic(s: FieldSchedule, pair: CyclicPair, cfg=None):
 
     Both members are read from one converged one-period propagator.
     """
-    u = evolve.total_unitary(s, cfg)
+    return _pair_defect(evolve.total_unitary(s, cfg), pair)
+
+
+def _pair_defect(u, pair: CyclicPair):
+    """Worst 1 - |<psi|u psi>| over the pair, for a one-period propagator u."""
     worst = 0.0
     for psi in (pair.psi_plus, pair.psi_minus):
         worst = max(worst, 1.0 - pauli.state_fidelity(psi, u @ psi))

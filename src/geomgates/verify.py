@@ -161,9 +161,10 @@ def check_cyclicity(cfg: Config, prop=None):
     out = []
 
     p = _nmr_reference(cfg)
-    s = nmr_schedule(p)
+    # One propagator serves the true pair and the shifted-cone control.
+    u = total_unitary(nmr_schedule(p), prop)
     pair = phases.cyclic_pair_nmr(p)
-    out.append(_le("cyclicity_rotating_drive", phases.verify_cyclic(s, pair, prop), 1e-8))
+    out.append(_le("cyclicity_rotating_drive", phases._pair_defect(u, pair), 1e-8))
 
     jp = _josephson_reference(cfg)
     js = experiments.josephson_schedule(jp)
@@ -174,7 +175,7 @@ def check_cyclicity(cfg: Config, prop=None):
     out.append(
         _ge(
             "cyclicity_probe_detects_wrong_cone",
-            phases.verify_cyclic(s, bad, prop),
+            phases._pair_defect(u, bad),
             1e-3,
             "defect for a deliberately shifted cone angle",
         )

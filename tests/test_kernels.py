@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from geomgates import evolve, pauli
+from geomgates import evolve, fields, pauli
 
 RNG_SEED = 20240311
+
+SAMPLERS = {
+    "nmr": fields.nmr_schedule(fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1)),
+    "charge": fields.josephson_schedule(
+        fields.JosephsonParams(e1=1.5625, e2=6.25, e_ch=39.0625, chi0=0.7, omega=0.3)
+    ),
+}
 
 
 def _loop_chain(us, psi0):
@@ -45,6 +52,56 @@ def test_apply_chain_leaves_steps_untouched():
     before = us.copy()
     evolve._apply_chain(us, pauli.KET0)
     assert np.array_equal(us, before)
+
+
+def _random_su2(rng, n):
+    """Steps in the form ``_step_unitaries`` returns: (n, 2) SU(2) pairs, pair-major."""
+    return pauli._su2_exp(rng.normal(size=(n, 3)), rng.uniform(0.0, 0.5, size=n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 3 * 128 + 5])
+def test_su2_chains_match_matmul_loop(n):
+    rng = np.random.default_rng(RNG_SEED + n)
+    q = _random_su2(rng, n)
+    us = pauli._su2_matrix(q)
+    psi0 = pauli.normalize(rng.normal(size=2) + 1j * rng.normal(size=2))
+    states = evolve._apply_chain(q, psi0)
+    assert np.array_equal(states[0], psi0)
+    assert np.max(np.abs(states - _loop_chain(us, psi0))) <= 1e-13
+    product = pauli.ID2
+    for u in us:
+        product = u @ product
+    assert np.max(np.abs(evolve._chain_product(q) - product)) <= 1e-13
+
+
+def test_su2_chains_leave_steps_untouched():
+    q = _random_su2(np.random.default_rng(RNG_SEED), 300)
+    before = q.copy()
+    evolve._apply_chain(q, pauli.KET0)
+    evolve._chain_product(q)
+    assert np.array_equal(q, before)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_steps_are_unit_quaternions(name):
+    s = SAMPLERS[name]
+    q = evolve._step_unitaries(s.sample, evolve.time_grid(s, 4096))
+    assert q.shape == (4096, 2)
+    assert q.T.flags.c_contiguous
+    # |alpha|^2 + |beta|^2 = w^2 + x^2 + y^2 + z^2
+    assert np.max(np.abs(np.sum(q.real**2 + q.imag**2, axis=1) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_steps_equal_product_of_factor_exponentials(name):
+    s = SAMPLERS[name]
+    ts = evolve.time_grid(s, 4096)
+    nodes, dts = evolve._gauss_nodes(ts)
+    b1, b2 = s.sample(nodes)
+    first = pauli.expm_pauli(evolve._A2 * b1 + evolve._A1 * b2, 0.5 * dts)
+    second = pauli.expm_pauli(evolve._A1 * b1 + evolve._A2 * b2, 0.5 * dts)
+    got = pauli._su2_matrix(evolve._step_unitaries(s.sample, ts))
+    assert np.max(np.abs(got - second @ first)) <= 1e-15
 
 
 def test_reduced_bloch_batched_matches_rows():

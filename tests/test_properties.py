@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from geomgates import evolve, experiments, fields, gates, phases, verify
 from geomgates.evolve import total_unitary
-from geomgates.pauli import angle_dist, unitarity_defect
+from geomgates.pauli import angle_dist, unitarity_defect, wrap_pi
 
 nmr_params = st.builds(
     fields.NmrParams,
@@ -50,6 +50,15 @@ def test_total_minus_dynamical_follows_loop_phase_law(accurate, p):
     pair = phases.cyclic_pair_nmr(p)
     d = phases.decompose(fields.nmr_schedule(p), pair.psi_plus, accurate)
     assert angle_dist(d.total - d.dynamical, -phases.loop_phase(pair.chi)) <= 1e-9
+
+
+@given(p=nmr_params)
+def test_bloch_path_solid_angle_equals_geometric_phase(accurate, p):
+    s, psi = fields.nmr_schedule(p), phases.cyclic_pair_nmr(p).psi_plus
+    sa = phases.solid_angle(evolve.propagate(s, psi, accurate))
+    d = phases.decompose(s, psi, accurate)
+    # the bound of the verify row solid_angle_vs_decomposition
+    assert angle_dist(wrap_pi(sa.gamma), d.geometric) <= 1e-6
 
 
 @given(p=nmr_params)
