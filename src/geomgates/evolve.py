@@ -11,10 +11,9 @@ A single-qubit step is an SU(2) element, so it is built, multiplied and
 chained as 4 reals: its unit quaternion, kept as the complex pair
 (alpha, beta) of the matrix's first row (``pauli._su2_exp``).  Products
 of pairs take the quaternion product's 16 real multiply-adds, and 2x2
-complex matrices appear only at the boundary: a propagator handed to the
-caller, and the state-stepping stage of the chain.  The dense two-qubit
-steps stay 4x4 complex; a step array's shape, (n, 2) or (n, d, d), says
-which form it holds.
+complex matrices appear only for a propagator handed to the caller.  The
+dense two-qubit steps stay 4x4 complex; in the product tree a step
+array's shape, (n, 2) or (n, 4, 4), says which form it holds.
 
 Accuracy is controlled by one step-doubling driver, ``refine``: it runs a
 fixed-resolution pass per rung, doubling the steps, until two successive
@@ -22,10 +21,9 @@ rungs agree on every criterion the caller names, and reports the last
 change of each criterion when the rung cap is reached.
 
 The state at every grid point (needed for the dynamical-phase integral)
-comes from a blocked prefix product of the step unitaries: the products
-of fixed-size blocks are formed at once by a pairwise tree, one short loop
-carries the state across block starts, and all blocks then step forward
-side by side.  The same whole-array code serves any state dimension.
+comes from every prefix product of the single-qubit steps, formed by one
+odd-even prefix scan on SU(2) pairs and applied to the initial state in
+closed form.
 
 Also provided: a closed-form rotating-frame solution for the NMR-style
 drive, used as an independent oracle.
@@ -186,57 +184,41 @@ def _step_unitaries(sample, ts):
     return _su2_mul(second, first)
 
 
-# Steps per block of the blocked chain in ``_apply_chain``.
-_CHAIN_BLOCK = 128
+def _su2_prefixes(q):
+    """Prefix products q[k] @ ... @ q[0], k = 0..n-1, of SU(2) pairs.
 
-
-def _stacked_matmul(a, c):
-    """a @ c over stacks of small matrices, as d broadcast multiply-adds.
-
-    numpy's matmul runs its inner loop once per 2x2 matrix, which makes it
-    several times slower than whole-array arithmetic at this size.
+    Odd-even scan (Ladner & Fischer, J. ACM 27, 831 (1980)): neighbouring
+    steps are multiplied in pairs, the half-length array is scanned
+    recursively and gives the prefixes ending at odd k, and each prefix
+    ending at even k > 0 is q[k] times the one before it.  About 2n pair
+    products in all.
     """
-    out = a[..., :, :1] * c[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j : j + 1] * c[..., j : j + 1, :]
+    n = q.shape[0]
+    if n <= 1:
+        return q
+    odd = _su2_prefixes(_su2_mul(q[1::2], q[0:-1:2]))
+    out = np.empty((2, n), dtype=complex).T
+    out[0] = q[0]
+    out[1::2] = odd
+    out[2::2] = _su2_mul(q[2::2], odd[: (n - 1) // 2])
     return out
 
 
 def _apply_chain(us, psi0):
     """States psi_k = us[k-1] @ ... @ us[0] @ psi0 for k = 0..n.
 
-    Blocked prefix product, for any state dimension d; ``us`` holds SU(2)
-    pair steps (n, 2) or complex matrices (n, d, d).  The steps are cut
-    into blocks of ``_CHAIN_BLOCK``; the products of all blocks but the
-    last (which are all full) are formed at once by a pairwise tree, in the
-    steps' own form; one short loop carries the state across block starts;
-    then every block steps its own state forward side by side, one column
-    at a time, on complex matrices.  Column i of the blocks is the strided
-    view us[i::block], so only the last block is short and no block is
-    padded.
+    ``us`` holds SU(2) pair steps (n, 2).  Every prefix product comes from
+    one odd-even scan (``_su2_prefixes``) and is applied to psi0 = (a, b)
+    in closed form: the pair (alpha, beta) maps it to
+    (alpha a + beta b, conj(alpha) b - conj(beta) a).
     """
-    su2 = us.ndim == 2  # (n, 2) SU(2) pairs, not (n, d, d) matrices
-    mul = _su2_mul if su2 else _stacked_matmul
-    n, d = us.shape[0], psi0.shape[0]
-    b = _CHAIN_BLOCK
-    nblk = -(-n // b)
-    states = np.empty((n + 1, d), dtype=complex)
+    p = _su2_prefixes(us)
+    alpha, beta = p[:, 0], p[:, 1]
+    a, b = psi0
+    states = np.empty((us.shape[0] + 1, 2), dtype=complex)
     states[0] = psi0
-    prods = us[: (nblk - 1) * b].reshape((nblk - 1, b) + us.shape[1:])
-    while prods.shape[1] > 1:
-        prods = mul(prods[:, 1::2], prods[:, 0::2])
-    heads = prods[:, 0]
-    if su2:
-        heads, us = _su2_matrix(heads), _su2_matrix(us)
-    starts = np.empty((nblk, d), dtype=complex)
-    starts[0] = psi0
-    for j in range(nblk - 1):
-        starts[j + 1] = heads[j] @ starts[j]
-    psi = starts[..., None]
-    for i in range(min(b, n)):
-        col = us[i::b]
-        psi = _stacked_matmul(col, psi[: col.shape[0]])
-        states[i + 1 :: b] = psi[..., 0]
+    states[1:, 0] = alpha * a + beta * b
+    states[1:, 1] = alpha.conj() * b - beta.conj() * a
     return states
 
 
@@ -247,7 +229,7 @@ def _chain_product(us):
     returned as a 2x2 complex matrix; (n, d, d) matrices stay matrices.
     """
     su2 = us.ndim == 2  # (n, 2) SU(2) pairs, not (n, d, d) matrices
-    mul = _su2_mul if su2 else _stacked_matmul
+    mul = _su2_mul if su2 else np.matmul
     m = us
     while m.shape[0] > 1:
         odd = m.shape[0] % 2
@@ -376,4 +358,4 @@ def _dense_step_unitaries(model: TwoQubitModel, ts):
     w, v = np.linalg.eigh(np.stack([_A2 * h1 + _A1 * h2, _A1 * h1 + _A2 * h2]))
     phases = np.exp(-1j * w * dts[:, None])
     first, second = np.einsum("snij,snj,snkj->snik", v, phases, v.conj())
-    return _stacked_matmul(second, first)
+    return second @ first

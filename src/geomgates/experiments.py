@@ -511,7 +511,8 @@ def _gate_inputs(doc):
     Every value is checked before any propagation: drive parameters are
     finite JSON numbers, ``delta`` is the integer 0 or 1, ``cos_chi0``
     lies strictly inside (-1, 1) and ``reversal`` names a rule of
-    REVERSAL_RULES.  Violations raise ConfigError.
+    REVERSAL_RULES.  Violations, and drive parameters whose derived
+    quantities overflow a float, raise ConfigError.
     """
     reversal = doc.get("reversal", "negated_reversed")
     if not isinstance(reversal, str) or reversal not in REVERSAL_RULES:
@@ -555,6 +556,8 @@ def _gate_inputs(doc):
             return josephson_conditional_schedule(p), cyclic_pair_josephson(p), reversal
     except ValueError as exc:
         raise ConfigError(f"gate spec: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"gate spec: drive parameters overflow a float: {exc}") from exc
     raise ConfigError(f"gate spec: platform must be 'nmr' or 'josephson', got {platform!r}")
 
 

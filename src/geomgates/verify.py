@@ -470,23 +470,18 @@ def check_gate_algebra(cfg: Config, prop=None, seed=20240817, pairs=10_000, spec
         _le("gate_eigenphase_grid", worst_eig, 1e-12, "50x50 parameter grid"),
     ]
 
+    def disagrees(a, b):
+        """1 if the commutator norm and ``gates.noncommutable`` disagree."""
+        ua, ub = gates.build_gate(a), gates.build_gate(b)
+        direct = float(np.max(np.abs(ua @ ub - ub @ ua))) > 1e-9
+        return int(direct != gates.noncommutable(a, b))
+
     rng = np.random.default_rng(seed)
     disagree = 0
     for _ in range(pairs):
         a = gates.GateSpec(*rng.uniform(-np.pi, np.pi, 2))
         b = gates.GateSpec(*rng.uniform(-np.pi, np.pi, 2))
-        direct = (
-            float(
-                np.max(
-                    np.abs(
-                        gates.build_gate(a) @ gates.build_gate(b)
-                        - gates.build_gate(b) @ gates.build_gate(a)
-                    )
-                )
-            )
-            > 1e-9
-        )
-        disagree += int(direct != gates.noncommutable(a, b))
+        disagree += disagrees(a, b)
     # the criterion's zero set, sampled on purpose
     for chi in np.linspace(-2.0, 2.0, 7):
         for gamma in np.linspace(-3.0, 3.0, 7):
@@ -495,19 +490,7 @@ def check_gate_algebra(cfg: Config, prop=None, seed=20240817, pairs=10_000, spec
                 (gates.GateSpec(chi, np.pi), gates.GateSpec(chi + 1.0, gamma)),
                 (gates.GateSpec(chi, gamma), gates.GateSpec(chi, gamma + 0.5)),
             ]
-            for a, b in cases:
-                direct = (
-                    float(
-                        np.max(
-                            np.abs(
-                                gates.build_gate(a) @ gates.build_gate(b)
-                                - gates.build_gate(b) @ gates.build_gate(a)
-                            )
-                        )
-                    )
-                    > 1e-9
-                )
-                disagree += int(direct != gates.noncommutable(a, b))
+            disagree += sum(disagrees(a, b) for a, b in cases)
     out.append(
         _le(
             "noncommutability_criterion_agreement",

@@ -7,7 +7,8 @@ None of these is used by the package itself:
 * ``block_trajectory`` propagates the coupled pair through its two exact
   sz(x)I eigenblocks, each a 2x2 problem with a scalar control energy;
 * ``dense_trajectory`` takes CF4 steps of the full 4x4 Hamiltonian by
-  Hermitian eigendecomposition, for any model.
+  Hermitian eigendecomposition, for any model, and chains them one
+  matrix-vector product per step (``loop_chain``).
 
 Each is step-doubled by ``evolve.refine`` on its final row and returns the
 converged grid with its rows.
@@ -71,6 +72,18 @@ def bloch_integrate(s, n0, cfg: PropagatorConfig):
     )
 
 
+def loop_chain(us, psi0):
+    """States us[k-1] @ ... @ us[0] @ psi0, k = 0..n: one matrix-vector
+    product per step, for (n, d, d) step matrices."""
+    states = np.empty((us.shape[0] + 1, psi0.shape[0]), dtype=complex)
+    states[0] = psi0
+    psi = psi0
+    for k in range(us.shape[0]):
+        psi = us[k] @ psi
+        states[k + 1] = psi
+    return states
+
+
 def _two_qubit_state(psi4):
     psi4 = np.asarray(psi4, dtype=complex)
     if psi4.shape != (4,):
@@ -112,7 +125,7 @@ def dense_trajectory(model, psi4, cfg: PropagatorConfig):
 
     def run(steps):
         ts = time_grid(model.target, steps)
-        states = evolve._apply_chain(evolve._dense_step_unitaries(model, ts), psi4)
+        states = loop_chain(evolve._dense_step_unitaries(model, ts), psi4)
         return ts, _normalized_rows(states)
 
     return refine(run, evolve._last_row_change(cfg), cfg, "dense two-qubit propagation")

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import geomgates
 from geomgates import cli
@@ -296,3 +298,56 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "geomgates" in capsys.readouterr().out
+
+
+_SPEC_KEYS = (
+    "platform", "omega0", "omega1", "omega", "j", "delta", "reversal",
+    "e1", "e2", "e_ch", "cos_chi0", "chi0", "e_i", "nxc",
+)
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 1, -1, 0.0, -0.0, 1e-300, 5e-324, 1e300, -1e308, 1.7976931348623157e308]),
+    st.sampled_from(["nmr", "josephson", "negated_reversed", "time_reversed"]),
+)
+_DROP = object()  # mutation that deletes the key
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(_SPEC_KEYS), st.one_of(st.just(_DROP), _ODD_VALUES)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@pytest.fixture(scope="module")
+def capped_ini(tmp_path_factory):
+    """Packaged config capped at 64 steps per period: 16, doubled twice."""
+    cp = configparser.ConfigParser()
+    cp.read(default_config_path())
+    cp.set("numerics", "steps_per_period", "16")
+    cp.set("numerics", "max_refinements", "2")
+    path = tmp_path_factory.mktemp("fuzz") / "capped.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(base=st.sampled_from([_NMR_SPEC, _CHARGE_SPEC]), mutations=_MUTATIONS)
+# e_minus**2 of Python floats raised OverflowError out of cyclic_pair_josephson
+@example(base=_CHARGE_SPEC, mutations=[("e1", 1e300)])
+def test_mutated_gate_specs_exit_cleanly(capped_ini, base, mutations):
+    spec = dict(base)
+    for key, value in mutations:
+        if value is _DROP:
+            spec.pop(key, None)
+        else:
+            spec[key] = value
+    path = capped_ini.parent / "gate.json"
+    path.write_text(json.dumps(spec))
+    rc = cli.main(["gate", str(path), "--config", str(capped_ini), "--out", str(path.parent)])
+    assert rc in (0, 1, 2)

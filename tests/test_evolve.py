@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from geomgates import evolve, fields, pauli
-from reference import block_trajectory, bloch_integrate, dense_trajectory
+from reference import block_trajectory, bloch_integrate, dense_trajectory, loop_chain
 
 P = fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1)
 PSI0 = pauli.state_of_angles(1.0, 0.5)
@@ -155,7 +155,7 @@ def test_dense_steps_are_fourth_order():
 
     def err(steps):
         ts = evolve.time_grid(model.target, steps)
-        states = evolve._apply_chain(evolve._dense_step_unitaries(model, ts), psi4)
+        states = loop_chain(evolve._dense_step_unitaries(model, ts), psi4)
         return float(np.max(np.abs(states[-1] - ref)))
 
     e64, e128, e256 = err(64), err(128), err(256)

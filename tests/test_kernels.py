@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geomgates import evolve, fields, pauli
+from reference import loop_chain
 
 RNG_SEED = 20240311
 
@@ -15,59 +16,21 @@ SAMPLERS = {
 }
 
 
-def _loop_chain(us, psi0):
-    """Reference: one matrix-vector product per step."""
-    states = np.empty((us.shape[0] + 1, psi0.shape[0]), dtype=complex)
-    states[0] = psi0
-    psi = psi0
-    for k in range(us.shape[0]):
-        psi = us[k] @ psi
-        states[k + 1] = psi
-    return states
-
-
-def _random_unitaries(rng, n, d):
-    if d == 2:
-        return pauli.expm_pauli(rng.normal(size=(n, 3)), rng.uniform(0.0, 0.5, size=n))
-    h = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
-    w, v = np.linalg.eigh(h + h.conj().swapaxes(-1, -2))
-    return np.einsum("nij,nj,nkj->nik", v, np.exp(-0.3j * w), v.conj())
-
-
-@pytest.mark.parametrize("d", [2, 4])
-@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 3 * 128 + 5])
-def test_apply_chain_matches_loop(n, d):
-    rng = np.random.default_rng(RNG_SEED + n + d)
-    us = _random_unitaries(rng, n, d)
-    psi0 = pauli.normalize(rng.normal(size=d) + 1j * rng.normal(size=d))
-    states = evolve._apply_chain(us, psi0)
-    assert states.shape == (n + 1, d)
-    assert np.array_equal(states[0], psi0)
-    assert np.max(np.abs(states - _loop_chain(us, psi0))) <= 1e-13
-
-
-def test_apply_chain_leaves_steps_untouched():
-    rng = np.random.default_rng(RNG_SEED)
-    us = _random_unitaries(rng, 300, 2)
-    before = us.copy()
-    evolve._apply_chain(us, pauli.KET0)
-    assert np.array_equal(us, before)
-
-
 def _random_su2(rng, n):
     """Steps in the form ``_step_unitaries`` returns: (n, 2) SU(2) pairs, pair-major."""
     return pauli._su2_exp(rng.normal(size=(n, 3)), rng.uniform(0.0, 0.5, size=n))
 
 
-@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 3 * 128 + 5])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 3 * 128 + 5, 4097])
 def test_su2_chains_match_matmul_loop(n):
     rng = np.random.default_rng(RNG_SEED + n)
     q = _random_su2(rng, n)
     us = pauli._su2_matrix(q)
     psi0 = pauli.normalize(rng.normal(size=2) + 1j * rng.normal(size=2))
     states = evolve._apply_chain(q, psi0)
+    assert states.shape == (n + 1, 2)
     assert np.array_equal(states[0], psi0)
-    assert np.max(np.abs(states - _loop_chain(us, psi0))) <= 1e-13
+    assert np.max(np.abs(states - loop_chain(us, psi0))) <= 1e-13
     product = pauli.ID2
     for u in us:
         product = u @ product

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from geomgates import evolve, experiments, fields, gates, phases, verify
 from geomgates.evolve import total_unitary
-from geomgates.pauli import angle_dist, unitarity_defect, wrap_pi
+from geomgates.pauli import angle_dist, expm_pauli, unitarity_defect, wrap_pi
 
 nmr_params = st.builds(
     fields.NmrParams,
@@ -59,6 +59,16 @@ def test_bloch_path_solid_angle_equals_geometric_phase(accurate, p):
     d = phases.decompose(s, psi, accurate)
     # the bound of the verify row solid_angle_vs_decomposition
     assert angle_dist(wrap_pi(sa.gamma), d.geometric) <= 1e-6
+
+
+@given(p=nmr_params, dchi=st.floats(-np.pi, np.pi))
+def test_rotated_drive_and_state_keep_the_geometric_phase(accurate, p, dchi):
+    s, psi = fields.nmr_schedule(p), phases.cyclic_pair_nmr(p).psi_plus
+    spin = expm_pauli(np.array([0.0, 1.0, 0.0]), -0.5 * dchi)
+    rotated = phases.decompose(fields.rotate_schedule(s, dchi), spin @ psi, accurate)
+    base = phases.decompose(s, psi, accurate)
+    # the bound of the verify row rotation_invariance_of_phase
+    assert angle_dist(rotated.geometric, base.geometric) <= 1e-8
 
 
 @given(p=nmr_params)
