@@ -21,6 +21,35 @@ def _random_su2(rng, n):
     return pauli._su2_exp(rng.normal(size=(n, 3)), rng.uniform(0.0, 0.5, size=n))
 
 
+def _random_unitaries(rng, n):
+    """(n, 2, 2) complex SU(2) matrices, as ``expm_pauli`` returns them."""
+    return pauli.expm_pauli(rng.normal(size=(n, 3)), rng.uniform(0.0, 0.5, size=n))
+
+
+def _first_rows(us):
+    """The SU(2) pairs (alpha, beta) of 2x2 matrices: a row-major strided view of row 0."""
+    return us[:, 0, :]
+
+
+@pytest.mark.parametrize("d", [2])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 3 * 128 + 5])
+def test_apply_chain_matches_loop(n, d):
+    rng = np.random.default_rng(RNG_SEED + n + d)
+    us = _random_unitaries(rng, n)
+    psi0 = pauli.normalize(rng.normal(size=d) + 1j * rng.normal(size=d))
+    states = evolve._apply_chain(_first_rows(us), psi0)
+    assert states.shape == (n + 1, d)
+    assert np.array_equal(states[0], psi0)
+    assert np.max(np.abs(states - loop_chain(us, psi0))) <= 1e-13
+
+
+def test_apply_chain_leaves_steps_untouched():
+    us = _random_unitaries(np.random.default_rng(RNG_SEED), 300)
+    before = us.copy()
+    evolve._apply_chain(_first_rows(us), pauli.KET0)
+    assert np.array_equal(us, before)
+
+
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 3 * 128 + 5, 4097])
 def test_su2_chains_match_matmul_loop(n):
     rng = np.random.default_rng(RNG_SEED + n)
