@@ -27,6 +27,7 @@ from .evolve import (  # noqa: F401
     propagate,
     rotating_frame_oracle,
     total_unitary,
+    two_qubit_unitary,
 )
 from .fields import (  # noqa: F401
     FieldSchedule,

@@ -251,6 +251,8 @@ def load_config(path=None) -> Config:
         raise ConfigError("[fig2] junction energies e1, e2 must be positive")
     if fig2.e1 == fig2.e2:
         raise ConfigError("[fig2] junction asymmetry required: e1 must differ from e2")
+    if not fig2.e_ch > 0.0:
+        raise ConfigError("[fig2] charging energy e_ch must be positive")
     for name, c in (("cos_chi0", fig2.cos_chi0), ("cos_chi0_inset", fig2.cos_chi0_inset)):
         if not -1.0 < c < 1.0:
             raise ConfigError(f"[fig2] {name} must lie strictly inside (-1, 1)")

@@ -11,9 +11,7 @@ A single-qubit step is an SU(2) element, so it is built, multiplied and
 chained as 4 reals: its unit quaternion, kept as the complex pair
 (alpha, beta) of the matrix's first row (``pauli._su2_exp``).  Products
 of pairs take the quaternion product's 16 real multiply-adds, and 2x2
-complex matrices appear only for a propagator handed to the caller.  The
-dense two-qubit steps stay 4x4 complex; in the product tree a step
-array's shape, (n, 2) or (n, 4, 4), says which form it holds.
+complex matrices appear only for a propagator handed to the caller.
 
 Accuracy is controlled by one step-doubling driver, ``refine``: it runs a
 fixed-resolution pass per rung, doubling the steps, until two successive
@@ -26,7 +24,8 @@ odd-even prefix scan on SU(2) pairs and applied to the initial state in
 closed form.
 
 Also provided: a closed-form rotating-frame solution for the NMR-style
-drive, used as an independent oracle.
+drive, used as an independent oracle, and its two-qubit counterpart, the
+coupled pair's one-period propagator from one constant 4x4 Hamiltonian.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import pauli
 from .fields import FieldSchedule, NmrParams, TwoQubitModel
-from .pauli import _su2_exp, _su2_matrix, _su2_mul, expm_pauli
+from .pauli import ID2, SIGMA_X, SIGMA_Z, _su2_exp, _su2_matrix, _su2_mul, expm_pauli, kron
 
 __all__ = [
     "PropagatorConfig",
@@ -48,6 +47,7 @@ __all__ = [
     "final_state",
     "total_unitary",
     "rotating_frame_oracle",
+    "two_qubit_unitary",
 ]
 
 
@@ -225,17 +225,15 @@ def _apply_chain(us, psi0):
 def _chain_product(us):
     """Ordered product us[n-1] @ ... @ us[0] via pairwise tree reduction.
 
-    SU(2) pair steps (n, 2) are multiplied as pairs and the product is
-    returned as a 2x2 complex matrix; (n, d, d) matrices stay matrices.
+    The SU(2) pair steps (n, 2) are multiplied as pairs and the product is
+    returned as a 2x2 complex matrix.
     """
-    su2 = us.ndim == 2  # (n, 2) SU(2) pairs, not (n, d, d) matrices
-    mul = _su2_mul if su2 else np.matmul
     m = us
     while m.shape[0] > 1:
         odd = m.shape[0] % 2
-        paired = mul(m[odd + 1 :: 2], m[odd::2])
+        paired = _su2_mul(m[odd + 1 :: 2], m[odd::2])
         m = np.concatenate([m[:1], paired]) if odd else paired
-    return _su2_matrix(m[0]) if su2 else m[0]
+    return _su2_matrix(m[0])
 
 
 def _fixed_states(us, psi0):
@@ -291,26 +289,18 @@ def propagate(s: FieldSchedule, psi0, cfg: PropagatorConfig | None = None) -> Tr
     return Trajectory(ts, states, _bloch_rows(states), s.label)
 
 
-def total_unitary(s: FieldSchedule | TwoQubitModel, cfg: PropagatorConfig | None = None):
-    """One-period propagator matrix, step-doubled like ``propagate``.
+def total_unitary(s: FieldSchedule, cfg: PropagatorConfig | None = None):
+    """One-period 2x2 propagator matrix, step-doubled like ``propagate``.
 
-    A ``FieldSchedule`` gives the 2x2 propagator from closed-form CF4
-    steps; a ``TwoQubitModel`` gives the dense 4x4 propagator from the
-    ``eigh`` CF4 steps on the target's grid (any model, driven control
-    included), from which every initial state's final state follows.
-    Uses a pairwise product tree, so no per-step state storage; convergence
-    is judged on the matrix entries.  The converged matrix is projected
-    back onto the unitary group, which removes the rounding drift of the
-    long product.
+    Closed-form CF4 steps multiplied by a pairwise product tree, so no
+    per-step state storage; convergence is judged on the matrix entries.
+    The converged matrix is projected back onto the unitary group, which
+    removes the rounding drift of the long product.
     """
     cfg = cfg or PropagatorConfig()
-    if isinstance(s, TwoQubitModel):
-        grid, steps_on = s.target, lambda ts: _dense_step_unitaries(s, ts)
-    else:
-        grid, steps_on = s, lambda ts: _step_unitaries(s.sample, ts)
 
     def run(steps):
-        return _chain_product(steps_on(time_grid(grid, steps)))
+        return _chain_product(_step_unitaries(s.sample, time_grid(s, steps)))
 
     u = refine(run, lambda a, b: [_state_change(a, b, cfg, "matrix")], cfg, "total unitary")
     return _unitary_projection(u)
@@ -346,16 +336,27 @@ def rotating_frame_oracle(p: NmrParams, psi0, t):
     return frame @ (core @ psi0)
 
 
-def _dense_step_unitaries(model: TwoQubitModel, ts):
-    """CF4 step unitaries of the full 4x4 Hamiltonian (fourth order).
+def two_qubit_unitary(model: TwoQubitModel):
+    """One-period propagator of the coupled pair, 4x4, in closed form.
 
-    The same two-exponential scheme as ``_step_unitaries``, with each
-    factor exp(-i h H') taken by Hermitian eigendecomposition; independent
-    of the closed-form 2x2 route, so it cross-checks the eigenblock path.
+    Both qubits' transverse fields rotate at the drive frequency w and the
+    zz coupling commutes with the total sz, so in the frame rotating at w
+    about z on both qubits the Hamiltonian is the constant
+
+        H' = -(1/2) [(a_c sx + (z_c + w) sz) (x) I + I (x) (omega0 sx + (omega1 + w) sz)]
+             + (j/2) sz (x) sz,
+
+    with a_c = omega0 for a driven control and 0 otherwise, z_c the
+    control's static field and omega1 the target's own static field.  The
+    frame rotation exp(-i (w t/2) sz) on each qubit is -I at one period,
+    so the pair's is the identity and U(tau) = exp(-i H' tau), taken from
+    one Hermitian eigendecomposition: exactly unitary, with no steps and
+    no tolerance.
     """
-    nodes, dts = _gauss_nodes(ts)
-    h1, h2 = model.h4(nodes)
-    w, v = np.linalg.eigh(np.stack([_A2 * h1 + _A1 * h2, _A1 * h1 + _A2 * h2]))
-    phases = np.exp(-1j * w * dts[:, None])
-    first, second = np.einsum("snij,snj,snkj->snik", v, phases, v.conj())
-    return second @ first
+    p = model.params
+    a_c = p.omega0 if model.drive_on_control else 0.0
+    h_c = -0.5 * (a_c * SIGMA_X + (model.control_z + p.omega) * SIGMA_Z)
+    h_t = -0.5 * (p.omega0 * SIGMA_X + (p.omega1 + p.omega) * SIGMA_Z)
+    h = kron(h_c, ID2) + kron(ID2, h_t) + 0.5 * p.j * kron(SIGMA_Z, SIGMA_Z)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * model.period)) @ v.conj().T

@@ -27,7 +27,13 @@ import numpy as np
 from . import __version__
 from .config import Config, ConfigError, Fig2Config
 from .csvio import table_to_json, write_json, write_table
-from .evolve import PropagatorConfig, final_state, rotating_frame_oracle, total_unitary
+from .evolve import (
+    PropagatorConfig,
+    final_state,
+    rotating_frame_oracle,
+    time_grid,
+    two_qubit_unitary,
+)
 from .fields import (
     JosephsonParams,
     NmrParams,
@@ -397,7 +403,7 @@ def _block_total(model, angle, delta):
 
 def _dense_total(u, pair, delta):
     """Total phase arg<psi0|U psi0> of the control-delta product state,
-    read from the dense 4x4 propagator ``u`` of the model."""
+    read from the 4x4 propagator ``u`` of the model."""
     psi0 = _product_state(delta, pair.psi_minus)
     return float(np.angle(np.vdot(psi0, u @ psi0)))
 
@@ -413,11 +419,11 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
     single-qubit evolution of the control and the conditional-phase error
     against the eigenblock prediction.
 
-    Each model is propagated once, as its one-period dense 4x4 matrix
-    (``total_unitary``); both control states' totals and the control's
+    Each model's one-period 4x4 propagator comes in closed form
+    (``two_qubit_unitary``); both control states' totals and the control's
     final Bloch vector are read from that one matrix.  The eigenblock
-    angles do not depend on the control field and are computed once per
-    sweep.
+    angles, from CF4 ladders on the 2x2 block schedules, do not depend on
+    the control field and are computed once per sweep.
 
     ``coupling_j`` overrides the configured coupling (0 gives the exact
     decoupled baseline: control fidelity 1 up to integrator tolerance).
@@ -435,8 +441,8 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
     def point(det):
         w1c = sw.omega1_target + det
         quiet = nmr_two_qubit(base, w1c, drive_on_control=False)
-        u_quiet = total_unitary(quiet, prop)
-        u_driven = total_unitary(nmr_two_qubit(base, w1c, drive_on_control=True), prop)
+        u_quiet = two_qubit_unitary(quiet)
+        u_driven = two_qubit_unitary(nmr_two_qubit(base, w1c, drive_on_control=True))
         blk_row, leak_row = [], []
         for delta in (0, 1):
             expected = _block_total(quiet, angles[delta], delta)
@@ -505,14 +511,25 @@ def _spec_number(doc, key, default=None):
     return float(value)
 
 
+def _finite_field(s):
+    """``s``, once |B|^2 (the sum the step exponentials form) is finite at
+    every point of the coarsest step grid; ConfigError otherwise."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b2 = np.sum(np.square(s.sample(time_grid(s, 16))), axis=-1)
+    if not np.all(np.isfinite(b2)):
+        raise ConfigError(f"gate spec: the drive field overflows a float: {s.label}")
+    return s
+
+
 def _gate_inputs(doc):
     """Schedule, cyclic pair and reversal rule name of a gate spec.
 
     Every value is checked before any propagation: drive parameters are
     finite JSON numbers, ``delta`` is the integer 0 or 1, ``cos_chi0``
     lies strictly inside (-1, 1) and ``reversal`` names a rule of
-    REVERSAL_RULES.  Violations, and drive parameters whose derived
-    quantities overflow a float, raise ConfigError.
+    REVERSAL_RULES.  Violations, drive parameters whose derived
+    quantities overflow a float, and a field whose squared magnitude
+    overflows on the 16-step grid raise ConfigError.
     """
     reversal = doc.get("reversal", "negated_reversed")
     if not isinstance(reversal, str) or reversal not in REVERSAL_RULES:
@@ -532,7 +549,7 @@ def _gate_inputs(doc):
                 j=_spec_number(doc, "j", 0.0),
                 delta=delta,
             )
-            return nmr_conditional_schedule(p), cyclic_pair_nmr(p), reversal
+            return _finite_field(nmr_conditional_schedule(p)), cyclic_pair_nmr(p), reversal
         if platform == "josephson":
             if doc.get("chi0") is not None:
                 chi0 = _spec_number(doc, "chi0")
@@ -553,7 +570,8 @@ def _gate_inputs(doc):
                 nxc=_spec_number(doc, "nxc", 0.0),
                 delta=delta,
             )
-            return josephson_conditional_schedule(p), cyclic_pair_josephson(p), reversal
+            s = _finite_field(josephson_conditional_schedule(p))
+            return s, cyclic_pair_josephson(p), reversal
     except ValueError as exc:
         raise ConfigError(f"gate spec: {exc}") from exc
     except OverflowError as exc:

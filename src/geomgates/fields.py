@@ -23,8 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import PAULI, kron
-
 __all__ = [
     "FieldSchedule",
     "NmrParams",
@@ -111,7 +109,7 @@ class JosephsonParams:
     """Charge-qubit drive parameters, energies in consistent units.
 
     e1, e2 : junction energies (> 0, e1 != e2)
-    e_ch   : charging energy scale multiplying (1 - 2 n_x)
+    e_ch   : charging energy scale multiplying (1 - 2 n_x) (> 0)
     e_i    : conditional z shift per unit offset-charge difference
     chi0   : designed cone angle, in (0, pi)
     omega  : drive angular frequency (> 0)
@@ -131,6 +129,8 @@ class JosephsonParams:
     def __post_init__(self):
         if not (self.e1 > 0.0 and self.e2 > 0.0):
             raise ValueError("junction energies e1, e2 must be positive")
+        if not self.e_ch > 0.0:
+            raise ValueError(f"charging energy e_ch must be positive, got {self.e_ch}")
         if self.e1 == self.e2:
             raise ValueError("junction asymmetry required: e1 must differ from e2")
         if not 0.0 < self.chi0 < np.pi:
@@ -336,67 +336,30 @@ def reversed_schedule(s: FieldSchedule) -> FieldSchedule:
 class TwoQubitModel:
     """Control/target pair with zz coupling, control as left tensor factor.
 
-    H(t) = h_c(t) (x) I + I (x) h_t(t) + (coupling_j / 2) sz (x) sz
+    H(t) = h_c(t) (x) I + I (x) h_t(t) + (j / 2) sz (x) sz
 
-    where h_t(t) = -(1/2) B_target(t) . sigma, and the control term is a
-    static z field (``control_z``) or, with ``drive_on_control`` set, the
-    target's transverse drive re-applied to the control on top of its own
-    static z field (the leakage model used by the detuning sweep).
+    where h_t(t) = -(1/2) B_target(t) . sigma is the NMR drive of
+    ``params`` without the coupling shift (``params.omega1`` is the
+    target's own static field), and the control term is a static z field
+    (``control_z``) or, with ``drive_on_control`` set, the target's
+    transverse drive re-applied to the control on top of its own static
+    z field (the leakage model used by the detuning sweep).
     """
 
-    target: FieldSchedule
-    coupling_j: float
+    params: NmrParams
     control_z: float
     drive_on_control: bool = False
-    label: str = "two_qubit"
 
     @property
     def period(self):
-        return self.target.period
-
-    def control_field(self, t):
-        """Field seen by the control qubit, shape (..., 3)."""
-        t = np.asarray(t, dtype=float)
-        if self.drive_on_control:
-            b = np.array(self.target.sample(t), copy=True)
-            b[..., 2] = self.control_z
-            return b
-        out = np.zeros(t.shape + (3,))
-        out[..., 2] = self.control_z
-        return out
-
-    def h4(self, t):
-        """Full Hamiltonian matrix, shape (..., 4, 4), Hermitian."""
-        t = np.asarray(t, dtype=float)
-        bt = np.asarray(self.target.sample(t), dtype=float)
-        ht = -0.5 * np.einsum("...k,kij->...ij", bt, PAULI)
-        bc = self.control_field(t)
-        hc = -0.5 * np.einsum("...k,kij->...ij", bc, PAULI)
-        eye = np.eye(2, dtype=complex)
-        hh = np.einsum("...ab,cd->...acbd", hc, eye) + np.einsum(
-            "ab,...cd->...acbd", eye, ht
-        )
-        hh = hh.reshape(t.shape + (4, 4))
-        return hh + 0.5 * self.coupling_j * kron(PAULI[2], PAULI[2])
+        return self.params.tau
 
     def block_schedule(self, delta) -> FieldSchedule:
         """Target drive inside the control eigenblock |delta> (requires an
         undriven control)."""
         if self.drive_on_control:
             raise ValueError("driven control does not commute with sz(x)I; no exact blocks")
-        shift = (2 * int(delta) - 1) * self.coupling_j
-        if shift == 0.0:
-            return self.target
-        offset = np.array([0.0, 0.0, shift])
-
-        def sample(t):
-            return self.target.sample(t) + offset
-
-        return FieldSchedule(
-            sample=sample,
-            period=self.target.period,
-            label=self.target.label + f" + block_z({shift:g})",
-        )
+        return nmr_schedule(replace(self.params, delta=int(delta)))
 
     def block_energy(self, delta):
         """Constant energy of the control factor inside block |delta>."""
@@ -405,12 +368,7 @@ class TwoQubitModel:
 
 
 def nmr_two_qubit(p: NmrParams, omega1_control, drive_on_control=False) -> TwoQubitModel:
-    """Coupled pair: driven target plus a spectator control at omega1_control."""
-    target = nmr_schedule(replace(p, j=0.0, delta=0))
+    """Coupled pair: target driven by ``p``, spectator control at omega1_control."""
     return TwoQubitModel(
-        target=target,
-        coupling_j=p.j,
-        control_z=float(omega1_control),
-        drive_on_control=drive_on_control,
-        label=f"nmr_pair(j={p.j:g}, wc={omega1_control:g})",
+        params=p, control_z=float(omega1_control), drive_on_control=drive_on_control
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import experiments, gates, pauli, phases
 from .config import Config
-from .evolve import final_state, propagate, rotating_frame_oracle, total_unitary
+from .evolve import final_state, propagate, rotating_frame_oracle, total_unitary, two_qubit_unitary
 from .fields import (
     NmrParams,
     nmr_conditional_schedule,
@@ -529,11 +529,11 @@ def check_gate_algebra(cfg: Config, prop=None, seed=20240817, pairs=10_000, spec
 # ---------------------------------------------------------------------------
 
 def check_block_exactness(cfg: Config, prop=None):
-    """Dense 4x4 conditional totals equal the 2x2 eigenblock predictions.
+    """4x4 conditional totals equal the 2x2 eigenblock predictions.
 
-    An independent cross-check: the dense side takes ``eigh`` steps of the
-    full 4x4 Hamiltonian, the block side closed-form 2x2 steps of each
-    eigenblock's schedule.
+    An independent cross-check: the 4x4 side is the closed-form propagator
+    (one ``eigh`` of the constant rotating-frame Hamiltonian), the block
+    side CF4 ladders on each eigenblock's schedule.
     """
     prop = prop or cfg.propagator
     f = cfg.fig1
@@ -547,7 +547,7 @@ def check_block_exactness(cfg: Config, prop=None):
                 omega0=f.omega0, omega1=omega1, omega=omega, j=f.coupling_j
             )
             model = nmr_two_qubit(p, omega1_control=3.0 * f.coupling_j)
-            u = total_unitary(model, prop)
+            u = two_qubit_unitary(model)
             for delta in (0, 1):
                 pair = phases.cyclic_pair_nmr(replace(p, delta=delta))
                 angle = experiments._block_angle(model, pair, delta, prop)

@@ -6,18 +6,24 @@ None of these is used by the package itself:
   vector with exact midpoint rotations (second order, no CF4 steps);
 * ``block_trajectory`` propagates the coupled pair through its two exact
   sz(x)I eigenblocks, each a 2x2 problem with a scalar control energy;
-* ``dense_trajectory`` takes CF4 steps of the full 4x4 Hamiltonian by
-  Hermitian eigendecomposition, for any model, and chains them one
-  matrix-vector product per step (``loop_chain``).
+* ``dense_trajectory`` takes CF4 steps of the full 4x4 Hamiltonian
+  ``h4`` by Hermitian eigendecomposition (``dense_step_unitaries``), for
+  any model, and chains them one matrix-vector product per step
+  (``loop_chain``); ``dense_unitary`` multiplies the same steps into the
+  one-period 4x4 propagator.
 
-Each is step-doubled by ``evolve.refine`` on its final row and returns the
-converged grid with its rows.
+Each is step-doubled by ``evolve.refine``: the trajectories on their final
+row, returning the converged grid with its rows, the propagator on its
+matrix entries.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from geomgates import evolve, pauli
+from geomgates import evolve, fields, pauli
 from geomgates.evolve import PropagatorConfig, refine, time_grid
+from geomgates.pauli import PAULI, kron
 
 
 def _rotation_matrices(axes, angles):
@@ -119,13 +125,80 @@ def block_trajectory(model, psi4, cfg: PropagatorConfig):
     return refine(run, evolve._last_row_change(cfg), cfg, "block two-qubit propagation")
 
 
+def target_schedule(model):
+    """The target's own drive: the model's NMR drive without the coupling shift."""
+    return fields.nmr_schedule(replace(model.params, j=0.0, delta=0))
+
+
+def control_field(model, t):
+    """Field seen by the control qubit, shape (..., 3)."""
+    t = np.asarray(t, dtype=float)
+    if model.drive_on_control:
+        b = np.array(target_schedule(model).sample(t), copy=True)
+        b[..., 2] = model.control_z
+        return b
+    out = np.zeros(t.shape + (3,))
+    out[..., 2] = model.control_z
+    return out
+
+
+def h4(model, t):
+    """Full Hamiltonian matrix of the pair at times t, shape (..., 4, 4)."""
+    t = np.asarray(t, dtype=float)
+    bt = np.asarray(target_schedule(model).sample(t), dtype=float)
+    ht = -0.5 * np.einsum("...k,kij->...ij", bt, PAULI)
+    hc = -0.5 * np.einsum("...k,kij->...ij", control_field(model, t), PAULI)
+    eye = np.eye(2, dtype=complex)
+    hh = np.einsum("...ab,cd->...acbd", hc, eye) + np.einsum("ab,...cd->...acbd", eye, ht)
+    hh = hh.reshape(t.shape + (4, 4))
+    return hh + 0.5 * model.params.j * kron(PAULI[2], PAULI[2])
+
+
+def dense_step_unitaries(model, ts):
+    """CF4 step unitaries of the full 4x4 Hamiltonian (fourth order).
+
+    The same two-exponential scheme as ``evolve._step_unitaries``, with
+    each factor exp(-i h H') taken by Hermitian eigendecomposition.
+    """
+    nodes, dts = evolve._gauss_nodes(ts)
+    h1, h2 = h4(model, nodes)
+    a1, a2 = evolve._A1, evolve._A2
+    w, v = np.linalg.eigh(np.stack([a2 * h1 + a1 * h2, a1 * h1 + a2 * h2]))
+    phases = np.exp(-1j * w * dts[:, None])
+    first, second = np.einsum("snij,snj,snkj->snik", v, phases, v.conj())
+    return second @ first
+
+
 def dense_trajectory(model, psi4, cfg: PropagatorConfig):
     """Coupled-pair states from dense 4x4 CF4 steps: (ts, states)."""
     psi4 = _two_qubit_state(psi4)
 
     def run(steps):
-        ts = time_grid(model.target, steps)
-        states = loop_chain(evolve._dense_step_unitaries(model, ts), psi4)
+        ts = time_grid(target_schedule(model), steps)
+        states = loop_chain(dense_step_unitaries(model, ts), psi4)
         return ts, _normalized_rows(states)
 
     return refine(run, evolve._last_row_change(cfg), cfg, "dense two-qubit propagation")
+
+
+def _matrix_product(us):
+    """us[n-1] @ ... @ us[0] by pairwise tree reduction, for (n, d, d)."""
+    while us.shape[0] > 1:
+        odd = us.shape[0] % 2
+        paired = us[odd + 1 :: 2] @ us[odd::2]
+        us = np.concatenate([us[:1], paired]) if odd else paired
+    return us[0]
+
+
+def dense_unitary(model, cfg: PropagatorConfig):
+    """One-period 4x4 propagator from dense CF4 steps, step-doubled on its
+    matrix entries."""
+
+    def run(steps):
+        ts = time_grid(target_schedule(model), steps)
+        return _matrix_product(dense_step_unitaries(model, ts))
+
+    def criteria(a, b):
+        return [evolve._state_change(a, b, cfg, "matrix")]
+
+    return refine(run, criteria, cfg, "dense two-qubit propagator")

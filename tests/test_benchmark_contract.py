@@ -17,8 +17,8 @@ import numpy as np
 from geomgates import evolve, fields, phases
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-# Traced name whose function left the package; the tracer lists it as absent.
-KNOWN_ABSENT = {"evolve.propagate_two_qubit"}
+# Traced names whose functions left the package; the tracer lists them as absent.
+KNOWN_ABSENT = {"evolve.propagate_two_qubit", "evolve.dense_step_unitaries"}
 
 
 def _tracing():

@@ -263,8 +263,13 @@ _CHARGE_SPEC = {
         (dict(_NMR_SPEC, omega0=float("inf")), "omega0 must be a finite number"),
         (dict(_NMR_SPEC, delta=0.7), "delta must be the integer 0 or 1"),
         (dict(_CHARGE_SPEC, cos_chi0=2), "cos_chi0 must lie strictly inside (-1, 1)"),
+        (dict(_CHARGE_SPEC, e_ch=-39.0), "e_ch must be positive"),
+        (dict(_NMR_SPEC, omega0=1e300), "the drive field overflows a float"),
     ],
-    ids=["null", "unhashable-reversal", "nan", "infinity", "fractional-delta", "cos-above-one"],
+    ids=[
+        "null", "unhashable-reversal", "nan", "infinity", "fractional-delta", "cos-above-one",
+        "negative-charging-energy", "overflowing-field",
+    ],
 )
 def test_bad_gate_spec_exits_two_with_one_line(tmp_path, fast_ini, spec, message):
     # A fresh interpreter, so a traceback or a numerical warning would show

@@ -99,6 +99,13 @@ def test_impossible_junction_energies_raise(tmp_path, e1, e2, message):
         config.load_config(_write_modified(tmp_path, mutate))
 
 
+@pytest.mark.parametrize("e_ch", ["0.0", "-39.0"])
+def test_nonpositive_charging_energy_raises(tmp_path, e_ch):
+    path = _write_modified(tmp_path, lambda cp: cp.set("fig2", "e_ch", e_ch))
+    with pytest.raises(config.ConfigError, match="e_ch must be positive"):
+        config.load_config(path)
+
+
 def test_bad_grid_bounds_raise(tmp_path):
     def mutate(cp):
         cp.set("fig1", "tau_min", "50.0")

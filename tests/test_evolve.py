@@ -3,7 +3,14 @@ import pytest
 from scipy.linalg import expm
 
 from geomgates import evolve, fields, pauli
-from reference import block_trajectory, bloch_integrate, dense_trajectory, loop_chain
+from reference import (
+    block_trajectory,
+    bloch_integrate,
+    dense_step_unitaries,
+    dense_trajectory,
+    loop_chain,
+    target_schedule,
+)
 
 P = fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1)
 PSI0 = pauli.state_of_angles(1.0, 0.5)
@@ -117,15 +124,15 @@ def test_two_qubit_block_equals_dense(accurate):
 def test_dense_propagator_matches_dense_trajectories(accurate, omega1_control, drive_on_control):
     base = fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1, j=0.35)
     model = fields.nmr_two_qubit(base, omega1_control, drive_on_control=drive_on_control)
-    u = evolve.total_unitary(model, accurate)
+    u = evolve.two_qubit_unitary(model)
     for control in (pauli.KET0, pauli.KET1):
         psi4 = np.kron(control, PSI0)
         _, states = dense_trajectory(model, psi4, accurate)
         assert np.max(np.abs(u @ psi4 - states[-1])) < 1e-9
 
 
-def test_quiet_model_propagator_conserves_control_z(accurate):
-    u = evolve.total_unitary(_two_qubit_case(), accurate)
+def test_quiet_model_propagator_conserves_control_z():
+    u = evolve.two_qubit_unitary(_two_qubit_case())
     assert u.shape == (4, 4)
     assert pauli.unitarity_defect(u) < 1e-12
     assert np.max(np.abs(u[:2, 2:])) <= 1e-12
@@ -148,14 +155,15 @@ def test_two_qubit_decoupled_is_product_evolution(accurate):
     model, psi4, ref = _decoupled_case()
     _, states = dense_trajectory(model, psi4, accurate)
     assert np.max(np.abs(states[-1] - ref)) < 1e-9
+    assert np.max(np.abs(evolve.two_qubit_unitary(model) @ psi4 - ref)) < 1e-12
 
 
 def test_dense_steps_are_fourth_order():
     model, psi4, ref = _decoupled_case()
 
     def err(steps):
-        ts = evolve.time_grid(model.target, steps)
-        states = loop_chain(evolve._dense_step_unitaries(model, ts), psi4)
+        ts = evolve.time_grid(target_schedule(model), steps)
+        states = loop_chain(dense_step_unitaries(model, ts), psi4)
         return float(np.max(np.abs(states[-1] - ref)))
 
     e64, e128, e256 = err(64), err(128), err(256)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geomgates import fields, pauli
+from reference import control_field, h4, target_schedule
 
 P = fields.NmrParams(omega0=2.0, omega1=0.7, omega=1.3, j=0.4, delta=1)
 JP = fields.JosephsonParams(
@@ -98,8 +99,8 @@ def test_two_qubit_model_matches_explicit_kron():
     base = fields.NmrParams(omega0=2.0, omega1=0.7, omega=1.3, j=0.4)
     model = fields.nmr_two_qubit(base, omega1_control=3.0, drive_on_control=True)
     t = np.array([0.37])
-    bt = model.target.sample(t)[0]
-    bc = model.control_field(t)[0]
+    bt = target_schedule(model).sample(t)[0]
+    bc = control_field(model, t)[0]
 
     def h2(b):
         return -0.5 * (
@@ -111,8 +112,8 @@ def test_two_qubit_model_matches_explicit_kron():
         + np.kron(pauli.ID2, h2(bt))
         + 0.5 * base.j * np.kron(pauli.SIGMA_Z, pauli.SIGMA_Z)
     )
-    assert np.allclose(model.h4(t)[0], expect, atol=1e-14)
-    assert abs(model.period - model.target.period) < 1e-15
+    assert np.allclose(h4(model, t)[0], expect, atol=1e-14)
+    assert abs(model.period - target_schedule(model).period) < 1e-15
 
 
 def test_two_qubit_block_schedule_and_energy():
@@ -133,8 +134,8 @@ def test_undriven_control_has_no_transverse_field():
     quiet = fields.nmr_two_qubit(base, omega1_control=3.0, drive_on_control=False)
     driven = fields.nmr_two_qubit(base, omega1_control=3.0, drive_on_control=True)
     ts = np.linspace(0.0, quiet.period, 7)
-    assert np.allclose(quiet.control_field(ts)[:, :2], 0.0)
-    assert np.max(np.abs(driven.control_field(ts)[:, :2])) > 1.0
+    assert np.allclose(control_field(quiet, ts)[:, :2], 0.0)
+    assert np.max(np.abs(control_field(driven, ts)[:, :2])) > 1.0
 
 
 def test_nmr_params_validation():
@@ -149,3 +150,6 @@ def test_josephson_params_validation():
         fields.JosephsonParams(e1=1.0, e2=1.0, e_ch=10.0, chi0=0.5, omega=0.0)
     with pytest.raises(ValueError):
         fields.JosephsonParams(e1=1.0, e2=2.0, e_ch=10.0, chi0=0.0, omega=1.0)
+    for e_ch in (0.0, -39.0):
+        with pytest.raises(ValueError, match="e_ch must be positive"):
+            fields.JosephsonParams(e1=1.0, e2=2.0, e_ch=e_ch, chi0=0.5, omega=1.0)

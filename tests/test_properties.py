@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geomgates import evolve, experiments, fields, gates, phases, verify
-from geomgates.evolve import total_unitary
+from geomgates.evolve import total_unitary, two_qubit_unitary
 from geomgates.pauli import angle_dist, expm_pauli, unitarity_defect, wrap_pi
+from reference import dense_unitary
 
 nmr_params = st.builds(
     fields.NmrParams,
@@ -29,12 +30,31 @@ nmr_params = st.builds(
 def test_block_totals_equal_dense_totals(accurate, omega0, omega1, omega, j, control_z):
     p = fields.NmrParams(omega0=omega0, omega1=omega1, omega=omega, j=j)
     model = fields.nmr_two_qubit(p, omega1_control=control_z)
-    u = total_unitary(model, accurate)
+    u = two_qubit_unitary(model)
     for delta in (0, 1):
         pair = phases.cyclic_pair_nmr(replace(p, delta=delta))
         angle = experiments._block_angle(model, pair, delta, accurate)
         expected = experiments._block_total(model, angle, delta)
         assert angle_dist(experiments._dense_total(u, pair, delta), expected) <= 1e-8
+
+
+@given(
+    omega0=st.floats(0.5, 8.0),
+    omega1=st.floats(-3.0, 3.0),
+    omega=st.floats(0.5, 3.0),
+    j=st.floats(-2.0, 2.0),
+    control_z=st.floats(-5.0, 5.0),
+    drive_on_control=st.booleans(),
+)
+def test_dense_ladder_equals_closed_form_pair_propagator(
+    accurate, omega0, omega1, omega, j, control_z, drive_on_control
+):
+    p = fields.NmrParams(omega0=omega0, omega1=omega1, omega=omega, j=j)
+    model = fields.nmr_two_qubit(p, control_z, drive_on_control=drive_on_control)
+    u = two_qubit_unitary(model)
+    assert unitarity_defect(u) <= 1e-13
+    # the ladder's own tolerance is 1e-10 per entry; allow ten times that
+    assert np.max(np.abs(dense_unitary(model, accurate) - u)) <= 1e-9
 
 
 @given(p=nmr_params)
