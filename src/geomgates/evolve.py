@@ -20,8 +20,10 @@ change of each criterion when the rung cap is reached.
 
 The state at every grid point (needed for the dynamical-phase integral)
 comes from every prefix product of the single-qubit steps, formed by one
-odd-even prefix scan on SU(2) pairs and applied to the initial state in
-closed form.
+Brent-Kung prefix scan on SU(2) pairs and applied to the initial state in
+closed form.  An SU(2) matrix is fixed by where it sends one unit state,
+so the chain's first and last states also give the one-period matrix;
+the product tree ``_chain_product`` serves matrix-only ladders.
 
 Also provided: a closed-form rotating-frame solution for the NMR-style
 drive, used as an independent oracle, and its two-qubit counterpart, the
@@ -180,37 +182,39 @@ def _step_unitaries(sample, ts):
     nodes, dts = _gauss_nodes(ts)
     b1, b2 = np.asarray(sample(nodes), dtype=float)
     first = _su2_exp(_A2 * b1 + _A1 * b2, 0.5 * dts)
-    second = _su2_exp(_A1 * b1 + _A2 * b2, 0.5 * dts)
-    return _su2_mul(second, first)
+    mixed = _A1 * b1 + _A2 * b2
+    del b1, b2  # free the samples before the second exponential and the product
+    return _su2_mul(_su2_exp(mixed, 0.5 * dts), first)
 
 
 def _su2_prefixes(q):
     """Prefix products q[k] @ ... @ q[0], k = 0..n-1, of SU(2) pairs.
 
-    Odd-even scan (Ladner & Fischer, J. ACM 27, 831 (1980)): neighbouring
-    steps are multiplied in pairs, the half-length array is scanned
-    recursively and gives the prefixes ending at odd k, and each prefix
-    ending at even k > 0 is q[k] times the one before it.  About 2n pair
-    products in all.
+    Brent-Kung scan (IEEE Trans. Comput. C-31, 260 (1982)) in one copy of
+    ``q``, up-sweep then down-sweep over strides 1, 2, 4, ...: the odd-even
+    scan of Ladner & Fischer (J. ACM 27, 831 (1980)) unrolled, with the
+    same ~2n pair products in the same order.
     """
     n = q.shape[0]
-    if n <= 1:
-        return q
-    odd = _su2_prefixes(_su2_mul(q[1::2], q[0:-1:2]))
-    out = np.empty((2, n), dtype=complex).T
-    out[0] = q[0]
-    out[1::2] = odd
-    out[2::2] = _su2_mul(q[2::2], odd[: (n - 1) // 2])
-    return out
+    x = np.empty((2, n), dtype=complex).T
+    x[...] = q
+    d = 1
+    while 2 * d <= n:
+        x[2 * d - 1 :: 2 * d] = _su2_mul(x[2 * d - 1 :: 2 * d], x[d - 1 : n - d : 2 * d])
+        d *= 2
+    while d > 1:
+        d //= 2
+        x[3 * d - 1 :: 2 * d] = _su2_mul(x[3 * d - 1 :: 2 * d], x[2 * d - 1 : n - d : 2 * d])
+    return x
 
 
 def _apply_chain(us, psi0):
     """States psi_k = us[k-1] @ ... @ us[0] @ psi0 for k = 0..n.
 
     ``us`` holds SU(2) pair steps (n, 2).  Every prefix product comes from
-    one odd-even scan (``_su2_prefixes``) and is applied to psi0 = (a, b)
-    in closed form: the pair (alpha, beta) maps it to
-    (alpha a + beta b, conj(alpha) b - conj(beta) a).
+    one scan (``_su2_prefixes``) and is applied to psi0 = (a, b) in closed
+    form: the pair (alpha, beta) maps it to
+    (alpha a + beta b, conj(alpha conj(b) - beta conj(a))).
     """
     p = _su2_prefixes(us)
     alpha, beta = p[:, 0], p[:, 1]
@@ -218,7 +222,7 @@ def _apply_chain(us, psi0):
     states = np.empty((us.shape[0] + 1, 2), dtype=complex)
     states[0] = psi0
     states[1:, 0] = alpha * a + beta * b
-    states[1:, 1] = alpha.conj() * b - beta.conj() * a
+    np.conjugate(alpha * np.conj(b) - beta * np.conj(a), out=states[1:, 1])
     return states
 
 
@@ -244,8 +248,22 @@ def _fixed_states(us, psi0):
     per rung removes it.
     """
     states = _apply_chain(us, psi0)
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    # the bits of states / np.linalg.norm(states, axis=1), in fewer passes:
+    # numpy divides a complex x by a real r as x * (1 / r)
+    sq = (states.conj() * states).real
+    flat = states.view(float)
+    flat *= 1.0 / np.sqrt(sq[:, :1] + sq[:, 1:])
     return states
+
+
+def _matrix_of_states(psi0, psi1):
+    """The SU(2) matrix U with U psi0 = psi1, for unit states psi0, psi1.
+
+    SU(2) matrices commute with J psi = (-conj(psi[1]), conj(psi[0])), so
+    U = |psi1><psi0| + |J psi1><J psi0|, whose first row is the pair below.
+    """
+    (a, b), (c, d) = np.conj(psi0), psi1
+    return _su2_matrix(np.array([c * a + np.conj(d * b), c * b - np.conj(d * a)]))
 
 
 def _bloch_rows(states):

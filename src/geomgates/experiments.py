@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -423,7 +424,8 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
     (``two_qubit_unitary``); both control states' totals and the control's
     final Bloch vector are read from that one matrix.  The eigenblock
     angles, from CF4 ladders on the 2x2 block schedules, do not depend on
-    the control field and are computed once per sweep.
+    the control field and are computed once per sweep.  Each point is two
+    4x4 ``eigh`` calls, too little work for the thread pool.
 
     ``coupling_j`` overrides the configured coupling (0 gives the exact
     decoupled baseline: control fidelity 1 up to integrator tolerance).
@@ -457,7 +459,7 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
 
     fid, blk = [], {0: [], 1: []}
     leak = {0: [], 1: []}
-    for blk_row, leak_row, fid_val in _map_ordered(point, detunings):
+    for blk_row, leak_row, fid_val in map(point, detunings):
         for delta in (0, 1):
             blk[delta].append(blk_row[delta])
             leak[delta].append(leak_row[delta])
@@ -570,8 +572,11 @@ def _gate_inputs(doc):
                 nxc=_spec_number(doc, "nxc", 0.0),
                 delta=delta,
             )
-            s = _finite_field(josephson_conditional_schedule(p))
-            return s, cyclic_pair_josephson(p), reversal
+            # overflow checks first, on a silent build: their error stands alone
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _finite_field(josephson_conditional_schedule(p))
+            return josephson_conditional_schedule(p), cyclic_pair_josephson(p), reversal
     except ValueError as exc:
         raise ConfigError(f"gate spec: {exc}") from exc
     except OverflowError as exc:

@@ -166,8 +166,9 @@ def nmr_schedule(p: NmrParams) -> FieldSchedule:
         t = np.asarray(t, dtype=float)
         wt = omega * t
         out = np.empty(t.shape + (3,))
-        out[..., 0] = omega0 * np.cos(wt)
-        out[..., 1] = omega0 * np.sin(wt)
+        x, y = out[..., 0], out[..., 1]
+        np.multiply(np.cos(wt, out=x), omega0, out=x)
+        np.multiply(np.sin(wt, out=y), omega0, out=y)
         out[..., 2] = z
         return out
 
@@ -190,12 +191,15 @@ def nmr_conditional_schedule(p: NmrParams, delta=None) -> FieldSchedule:
 
 def josephson_ej(p: JosephsonParams, t):
     """Effective junction energy E_J(t) along the designed flux drive."""
-    t = np.asarray(t, dtype=float)
-    wt = p.omega * t
-    c, s = np.cos(wt), np.sin(wt)
+    wt = p.omega * np.asarray(t, dtype=float)
+    return _josephson_ej(p, np.cos(wt), np.sin(wt))
+
+
+def _josephson_ej(p: JosephsonParams, c, s):
+    """E_J at drive angles wt given by c = cos wt and s = sin wt."""
     em2, ep2 = p.e_minus**2, p.e_plus**2
-    denom2 = em2 * c * c + ep2 * s * s
-    cos2beta = em2 * c * c / denom2
+    cos2beta = em2 * c * c
+    cos2beta /= cos2beta + ep2 * s * s
     return np.sqrt(em2 + 4.0 * p.e1 * p.e2 * cos2beta)
 
 
@@ -234,16 +238,9 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
     satisfies (B_z - omega) = E_J cot chi0 exactly, so the cone angle
     arctan(E_J / (B_z - omega)) equals chi0 for all t.
     """
-    if not 0.0 < p.chi0 < np.pi:
-        raise ValueError(f"chi0 must lie strictly inside (0, pi), got {p.chi0}")
-    if p.e_minus == 0.0:
-        raise ValueError(
-            "e1 == e2 makes the designed flux drive degenerate (E_J pinned to 0)"
-        )
-    max_ej = p.e_plus
-    if max_ej >= 0.5 * p.e_ch:
+    if p.e_plus >= 0.5 * p.e_ch:  # e_plus is the largest E_J
         warnings.warn(
-            f"charging-regime assumption violated: max E_J = {max_ej:g} is not "
+            f"charging-regime assumption violated: max E_J = {p.e_plus:g} is not "
             f"small against e_ch/2 = {0.5 * p.e_ch:g}",
             stacklevel=2,
         )
@@ -253,11 +250,14 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
     def sample(t):
         t = np.asarray(t, dtype=float)
         wt = omega * t
-        ej = josephson_ej(p, t)
+        c, s = np.cos(wt), np.sin(wt)
+        ej = _josephson_ej(p, c, s)
         out = np.empty(t.shape + (3,))
-        out[..., 0] = ej * np.cos(wt)
-        out[..., 1] = -ej * np.sin(wt)
-        out[..., 2] = ej * cot0 + omega
+        x, y, z = out[..., 0], out[..., 1], out[..., 2]
+        np.multiply(ej, c, out=x)
+        np.negative(np.multiply(ej, s, out=y), out=y)
+        np.multiply(ej, cot0, out=z)
+        z += omega
         return out
 
     tau = p.tau

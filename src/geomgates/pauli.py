@@ -138,22 +138,25 @@ def _su2_exp(b, s):
     bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
     nb = np.sqrt(bx * bx + by * by + bz * bz)
     ang = s * nb
-    k = np.sin(ang) / np.where(nb > 0.0, nb, 1.0)
-    p = np.empty((2,) + ang.shape, dtype=complex)
-    p.real[0], p.imag[0] = np.cos(ang), k * bz
-    p.real[1], p.imag[1] = k * by, k * bx
+    k = np.sin(ang)
+    k /= np.where(nb > 0.0, nb, 1.0)
+    p = np.empty((2,) + np.shape(ang), dtype=complex)
+    np.cos(ang, out=p.real[0, ...])
+    np.multiply(k, bz, out=p.imag[0, ...])
+    np.multiply(k, by, out=p.real[1, ...])
+    np.multiply(k, bx, out=p.imag[1, ...])
     return _pair_axis_last(p)
 
 
 def _su2_mul(a, c):
-    """SU(2) pair of the matrix product a @ c, entry-wise over stacks.
+    """SU(2) pair of the matrix product a @ c, entry-wise over equal stacks.
 
     alpha = alpha_a alpha_c - beta_a conj(beta_c) and
     beta = alpha_a beta_c + beta_a conj(alpha_c): the quaternion product's
     16 real multiply-adds, as four complex products.
     """
     aa, ab, ca, cb = a[..., 0], a[..., 1], c[..., 0], c[..., 1]
-    p = np.empty((2,) + np.broadcast_shapes(aa.shape, ca.shape), dtype=complex)
+    p = np.empty((2,) + aa.shape, dtype=complex)
     p[0] = aa * ca - ab * cb.conj()
     p[1] = aa * cb + ab * ca.conj()
     return _pair_axis_last(p)

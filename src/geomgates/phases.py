@@ -204,9 +204,9 @@ def decompose(
     criterion could never be met.
 
     With ``with_unitary=True`` the same ladder also yields the loop's
-    one-period propagator: each rung's CF4 steps are built once and feed
-    both the state chain and the pairwise product, and a rung is accepted
-    only when, in addition, the matrix entries move by at most
+    one-period propagator, read from its state chain: the SU(2) matrix
+    mapping psi0 to the rung's final state (``evolve._matrix_of_states``).
+    A rung is then accepted only when its entries, too, move by at most
     cfg.tolerance (the ``total_unitary`` criterion).  The converged
     matrix, projected onto the unitary group, is stored on ``unitary``.
 
@@ -229,7 +229,8 @@ def decompose(
         states = evolve._fixed_states(us, psi0)
         bloch = evolve._bloch_rows(states)
         dyn = -_expectation_integral(s, ts, bloch)
-        return states[-1], dyn, evolve._chain_product(us) if with_unitary else None
+        u = evolve._matrix_of_states(psi0, states[-1]) if with_unitary else None
+        return states[-1], dyn, u
 
     def package(fin_c, dyn_c, u_c):
         ov = np.vdot(psi0, fin_c)

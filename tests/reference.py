@@ -6,6 +6,8 @@ None of these is used by the package itself:
   vector with exact midpoint rotations (second order, no CF4 steps);
 * ``block_trajectory`` propagates the coupled pair through its two exact
   sz(x)I eigenblocks, each a 2x2 problem with a scalar control energy;
+* ``odd_even_prefixes`` is the recursive form of the state chain's SU(2)
+  prefix scan;
 * ``dense_trajectory`` takes CF4 steps of the full 4x4 Hamiltonian
   ``h4`` by Hermitian eigendecomposition (``dense_step_unitaries``), for
   any model, and chains them one matrix-vector product per step
@@ -88,6 +90,25 @@ def loop_chain(us, psi0):
         psi = us[k] @ psi
         states[k + 1] = psi
     return states
+
+
+def odd_even_prefixes(q):
+    """Prefix products q[k] @ ... @ q[0] of SU(2) pairs (n, 2), recursively.
+
+    The odd-even scan of Ladner & Fischer (J. ACM 27, 831 (1980)):
+    neighbouring steps are multiplied in pairs, the half-length array is
+    scanned recursively and gives the prefixes ending at odd k, and each
+    prefix ending at even k > 0 is q[k] times the one before it.
+    """
+    n = q.shape[0]
+    if n <= 1:
+        return q
+    odd = odd_even_prefixes(pauli._su2_mul(q[1::2], q[0:-1:2]))
+    out = np.empty((n, 2), dtype=complex)
+    out[0] = q[0]
+    out[1::2] = odd
+    out[2::2] = pauli._su2_mul(q[2::2], odd[: (n - 1) // 2])
+    return out
 
 
 def _two_qubit_state(psi4):

@@ -265,10 +265,11 @@ _CHARGE_SPEC = {
         (dict(_CHARGE_SPEC, cos_chi0=2), "cos_chi0 must lie strictly inside (-1, 1)"),
         (dict(_CHARGE_SPEC, e_ch=-39.0), "e_ch must be positive"),
         (dict(_NMR_SPEC, omega0=1e300), "the drive field overflows a float"),
+        (dict(_CHARGE_SPEC, e1=1e300, e_ch=39.0), "drive parameters overflow a float"),
     ],
     ids=[
         "null", "unhashable-reversal", "nan", "infinity", "fractional-delta", "cos-above-one",
-        "negative-charging-energy", "overflowing-field",
+        "negative-charging-energy", "overflowing-field", "overflowing-junction",
     ],
 )
 def test_bad_gate_spec_exits_two_with_one_line(tmp_path, fast_ini, spec, message):
@@ -355,4 +356,76 @@ def test_mutated_gate_specs_exit_cleanly(capped_ini, base, mutations):
     path = capped_ini.parent / "gate.json"
     path.write_text(json.dumps(spec))
     rc = cli.main(["gate", str(path), "--config", str(capped_ini), "--out", str(path.parent)])
+    assert rc in (0, 1, 2)
+
+
+# Keys of the sections the fuzz mutates.  Counts (grid points, steps,
+# rungs) draw small values only: a large count is valid input whose run
+# time or memory grows with it (steps double with every rung), not a
+# malformed one.
+_INI_FLOAT_KEYS = {
+    "numerics": ("tolerance",),
+    "fig1": ("omega0", "omega1_a", "coupling_j", "tau_min", "tau_max"),
+    "sweep": ("omega0", "omega1_target", "coupling_j", "omega", "detuning_min", "detuning_max"),
+}
+_INI_COUNT_KEYS = {
+    "numerics": ("steps_per_period",),
+    "fig1": ("tau_points",),
+    "sweep": ("detuning_points",),
+}
+_INI_SCALE_KEYS = {"fig1": ("tau_scale",), "sweep": ("detuning_scale",)}
+_INI_TEXT = st.sampled_from(["", "x", "1.5.2", "0x10", "1e", "nan", "inf", "-inf", "[1]", "1,2"])
+_INI_FLOATS = st.one_of(
+    st.floats(-50.0, 50.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "-0.0", "-1", "1e-300", "5e-324", "1e300", "-1e308", "1e400"]),
+    _INI_TEXT,
+)
+_INI_COUNTS = st.one_of(
+    st.integers(-3, 40).map(str), st.sampled_from(["2.0", "1e1", "-0"]), _INI_TEXT
+)
+_INI_RUNGS = st.one_of(st.integers(-3, 4).map(str), st.sampled_from(["2.0", "-0"]), _INI_TEXT)
+_INI_MUTATION = st.one_of(
+    *[
+        st.tuples(st.just(sec), st.sampled_from(keys), values)
+        for table, values in (
+            (_INI_FLOAT_KEYS, _INI_FLOATS),
+            (_INI_COUNT_KEYS, _INI_COUNTS),
+            ({"numerics": ("max_refinements",)}, _INI_RUNGS),
+            (_INI_SCALE_KEYS, st.one_of(st.sampled_from(["log", "linear", "LOG"]), _INI_TEXT)),
+        )
+        for sec, keys in table.items()
+    ],
+    # a dropped key or an unknown one
+    st.tuples(
+        st.sampled_from(sorted(_INI_FLOAT_KEYS)),
+        st.sampled_from([k for keys in _INI_FLOAT_KEYS.values() for k in keys] + ["bogus"]),
+        st.sampled_from([None, "1.0"]),
+    ),
+)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["fig1a", "fig1b", "sweep"]),
+    mutations=st.lists(_INI_MUTATION, min_size=1, max_size=3),
+)
+def test_mutated_ini_exits_cleanly(tmp_path_factory, command, mutations):
+    cp = configparser.ConfigParser()
+    cp.read(default_config_path())
+    # 16 steps doubled twice; the loose tolerance lets the sweep converge
+    for key, value in (("steps_per_period", "16"), ("max_refinements", "2"), ("tolerance", "1e-3")):
+        cp.set("numerics", key, value)
+    cp.set("fig1", "tau_points", "3")
+    cp.set("sweep", "detuning_points", "2")
+    for section, key, value in mutations:
+        if value is None:
+            cp.remove_option(section, key)
+        else:
+            cp.set(section, key, value)
+    work = tmp_path_factory.mktemp("inifuzz")
+    path = work / "mutated.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    rc = cli.main([command, "--config", str(path), "--out", str(work)])
     assert rc in (0, 1, 2)

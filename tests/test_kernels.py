@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geomgates import evolve, fields, pauli
-from reference import loop_chain
+from reference import loop_chain, odd_even_prefixes
 
 RNG_SEED = 20240311
 
@@ -72,6 +72,42 @@ def test_su2_chains_leave_steps_untouched():
     evolve._apply_chain(q, pauli.KET0)
     evolve._chain_product(q)
     assert np.array_equal(q, before)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4095, 4096, 4097])
+def test_prefix_scan_equals_recursive_odd_even_scan(n):
+    q = _random_su2(np.random.default_rng(RNG_SEED + n), n)
+    before = q.copy()
+    assert np.array_equal(evolve._su2_prefixes(q), odd_even_prefixes(q))
+    assert np.array_equal(q, before)
+
+
+@pytest.mark.parametrize("n", [1, 4096, 16384])
+def test_fixed_states_divide_by_linalg_norm_bitwise(n):
+    rng = np.random.default_rng(RNG_SEED + n)
+    q = _random_su2(rng, n)
+    psi0 = pauli.normalize(rng.normal(size=2) + 1j * rng.normal(size=2))
+    chained = evolve._apply_chain(q, psi0)
+    expected = chained / np.linalg.norm(chained, axis=1, keepdims=True)
+    assert np.array_equal(evolve._fixed_states(q, psi0), expected)
+
+
+def test_charge_sampler_equals_junction_energy_times_rotation():
+    p = fields.JosephsonParams(e1=1.5625, e2=6.25, e_ch=39.0625, chi0=0.7, omega=0.3)
+    t = np.linspace(0.0, p.tau, 4097)
+    ej = fields.josephson_ej(p, t)
+    b = fields.josephson_schedule(p).sample(t)
+    assert np.array_equal(b[:, 0], ej * np.cos(p.omega * t))
+    assert np.array_equal(b[:, 1], -ej * np.sin(p.omega * t))
+    assert np.array_equal(b[:, 2], ej * (np.cos(p.chi0) / np.sin(p.chi0)) + p.omega)
+    assert np.array_equal(fields.josephson_schedule(p).sample(t[7]), b[7])
+
+
+def test_matrix_of_states_maps_the_state_and_its_flip():
+    rng = np.random.default_rng(RNG_SEED)
+    u = _random_unitaries(rng, 1)[0]
+    psi0 = pauli.normalize(rng.normal(size=2) + 1j * rng.normal(size=2))
+    assert np.max(np.abs(evolve._matrix_of_states(psi0, u @ psi0) - u)) <= 1e-15
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from geomgates import evolve, experiments, fields, gates, phases, verify
 from geomgates.evolve import total_unitary, two_qubit_unitary
-from geomgates.pauli import angle_dist, expm_pauli, unitarity_defect, wrap_pi
+from geomgates.pauli import angle_dist, expm_pauli, state_of_angles, unitarity_defect, wrap_pi
 from reference import dense_unitary
 
 nmr_params = st.builds(
@@ -179,3 +179,49 @@ def test_double_loop_steps_each_rung_once(accurate):
         gates.synthesize_double_loop(fields.nmr_schedule(p), phases.cyclic_pair_nmr(p), accurate)
     assert seen
     assert len(set(seen)) == len(seen)
+
+
+@contextmanager
+def _kept_steps():
+    """Keep every CF4 step array built inside the block, in build order."""
+    kept = []
+    orig = evolve._step_unitaries
+
+    def keeping(sample, ts):
+        kept.append(orig(sample, ts))
+        return kept[-1]
+
+    evolve._step_unitaries = keeping
+    try:
+        yield kept
+    finally:
+        evolve._step_unitaries = orig
+
+
+@given(
+    drive=st.one_of(
+        nmr_params.map(fields.nmr_schedule),
+        st.builds(
+            lambda e1, ratio, cos_chi0, tau_e1: fields.josephson_schedule(
+                fields.JosephsonParams(
+                    e1=e1, e2=ratio * e1, e_ch=40.0, chi0=float(np.arccos(cos_chi0)),
+                    omega=2.0 * np.pi * e1 / tau_e1,
+                )
+            ),
+            e1=st.floats(0.5, 2.0),
+            ratio=st.floats(0.2, 0.8),
+            cos_chi0=st.floats(-0.9, 0.9),
+            tau_e1=st.floats(3.0, 30.0),
+        ),
+    ),
+    theta=st.floats(0.0, np.pi),
+    phi=st.floats(-np.pi, np.pi),
+)
+def test_loop_matrix_from_the_chain_equals_the_product_tree(accurate, drive, theta, phi):
+    # the ladder's last rung is the accepted one; its steps multiplied by
+    # the pairwise tree give the matrix the ladder used to carry
+    psi = state_of_angles(theta, phi)
+    with _kept_steps() as kept:
+        d = phases.decompose(drive, psi, accurate, with_unitary=True)
+    tree = evolve._unitary_projection(evolve._chain_product(kept[-1]))
+    assert np.max(np.abs(d.unitary - tree)) <= 1e-13
