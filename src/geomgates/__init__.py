@@ -22,9 +22,7 @@ from .config import (  # noqa: F401
 from .evolve import (  # noqa: F401
     NonConvergenceError,
     PropagatorConfig,
-    Trajectory,
     final_state,
-    propagate,
     rotating_frame_oracle,
     total_unitary,
     two_qubit_unitary,

@@ -193,6 +193,16 @@ def _float_list(raw, section, key):
     return vals
 
 
+def _check_loops(where, slow, fast, lo, hi):
+    """ConfigError unless every loop runs at a positive finite drive
+    frequency rate / r with a finite period 2 pi r / rate, for every rate
+    in [slow, fast] and time ratio r in [lo, hi]."""
+    if not lo > 0.0:
+        raise ConfigError(f"{where} must be positive, got {lo!r}")
+    if not (np.isfinite(fast / lo) and np.isfinite(2.0 * np.pi * (hi / slow))):
+        raise ConfigError(f"{where}: a loop's drive frequency or period overflows a float")
+
+
 def _propagator(cp) -> PropagatorConfig:
     sec = "numerics"
     kw = {}
@@ -236,6 +246,8 @@ def load_config(path=None) -> Config:
     )
     if fig1.omega0 <= 0.0:
         raise ConfigError("[fig1] omega0 must be positive")
+    # a loop at tau / tau0 = r runs at omega = omega0 / r
+    _check_loops("[fig1] tau grid", fig1.omega0, fig1.omega0, fig1.tau_grid.lo, fig1.tau_grid.hi)
 
     fig2 = Fig2Config(
         e1=_require_float(cp, "fig2", "e1"),
@@ -258,6 +270,15 @@ def load_config(path=None) -> Config:
             raise ConfigError(f"[fig2] {name} must lie strictly inside (-1, 1)")
     if fig2.field_samples < 16:
         raise ConfigError("[fig2] field_samples must be at least 16")
+    e_plus = fig2.e1 + fig2.e2
+    if not np.isfinite(e_plus * e_plus):
+        raise ConfigError("[fig2] junction energies overflow a float: (e1 + e2)^2 is not finite")
+    # A loop at tau / tau0 = r runs at omega = 2 pi <E_J> / r, and the loop
+    # average <E_J> of the junction energy lies in [|e1 - e2|, e1 + e2].
+    rates = (2.0 * np.pi * abs(fig2.e1 - fig2.e2), 2.0 * np.pi * e_plus)
+    ratio = fig2.field_tau_over_tau0
+    _check_loops("[fig2] field_tau_over_tau0", *rates, ratio, ratio)
+    _check_loops("[fig2] tau grid", *rates, fig2.tau_grid.lo, fig2.tau_grid.hi)
 
     sweep = SweepConfig(
         omega0=_require_float(cp, "sweep", "omega0"),
@@ -285,6 +306,12 @@ def load_config(path=None) -> Config:
         raise ConfigError("[verify] field_scale must be positive")
     if verify.josephson_omega <= 0.0:
         raise ConfigError("[verify] josephson_omega must be positive")
+    if not 0.0 < verify.chi_grid.lo <= verify.chi_grid.hi < np.pi:
+        raise ConfigError("[verify] chi grid must lie strictly inside (0, pi)")
+    if not verify.oracle_grid.lo > 0.0:
+        raise ConfigError("[verify] oracle grid must be positive")
+    r = verify.block_tau_over_tau0
+    _check_loops("[verify] block_tau_over_tau0", fig1.omega0, fig1.omega0, min(r), max(r))
 
     return Config(
         source=str(src),

@@ -18,12 +18,14 @@ fixed-resolution pass per rung, doubling the steps, until two successive
 rungs agree on every criterion the caller names, and reports the last
 change of each criterion when the rung cap is reached.
 
-The state at every grid point (needed for the dynamical-phase integral)
-comes from every prefix product of the single-qubit steps, formed by one
-Brent-Kung prefix scan on SU(2) pairs and applied to the initial state in
-closed form.  An SU(2) matrix is fixed by where it sends one unit state,
-so the chain's first and last states also give the one-period matrix;
-the product tree ``_chain_product`` serves matrix-only ladders.
+The state at every grid point (needed for the dynamical-phase integral
+and the Bloch path) comes from every prefix product of the single-qubit
+steps, formed by one Brent-Kung prefix scan on SU(2) pairs and applied in
+closed form to the initial state, or to every state of a stack.  An SU(2)
+matrix is fixed by where it sends one unit state, so the chain's first
+and last states also give the one-period matrix; the product tree
+``_chain_product`` serves matrix-only ladders, where it costs about half
+the scan's pair products.
 
 Also provided: a closed-form rotating-frame solution for the NMR-style
 drive, used as an independent oracle, and its two-qubit counterpart, the
@@ -42,10 +44,8 @@ from .pauli import ID2, SIGMA_X, SIGMA_Z, _su2_exp, _su2_matrix, _su2_mul, expm_
 
 __all__ = [
     "PropagatorConfig",
-    "Trajectory",
     "NonConvergenceError",
     "time_grid",
-    "propagate",
     "final_state",
     "total_unitary",
     "rotating_frame_oracle",
@@ -121,29 +121,6 @@ def _state_change(a, b, cfg: PropagatorConfig, name="state"):
     return (name, float(np.max(np.abs(b - a))), cfg.tolerance, "")
 
 
-def _last_row_change(cfg: PropagatorConfig):
-    """Criteria on the last rows of two (grid, rows) rungs."""
-    return lambda a, b: [_state_change(a[1][-1], b[1][-1], cfg)]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Single-qubit propagation history on a fixed time grid.
-
-    ``states`` is (n, 2) complex and ``bloch`` the (n, 3) Bloch vectors of
-    its rows; the grid runs from times[0] == 0 to the schedule period.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    bloch: np.ndarray
-    schedule_label: str
-
-    @property
-    def final_state(self):
-        return self.states[-1]
-
-
 def _even(n):
     n = max(int(n), 2)
     return n if n % 2 == 0 else n + 1
@@ -211,18 +188,20 @@ def _su2_prefixes(q):
 def _apply_chain(us, psi0):
     """States psi_k = us[k-1] @ ... @ us[0] @ psi0 for k = 0..n.
 
-    ``us`` holds SU(2) pair steps (n, 2).  Every prefix product comes from
-    one scan (``_su2_prefixes``) and is applied to psi0 = (a, b) in closed
+    ``us`` holds SU(2) pair steps (n, 2) and ``psi0`` one state (2,) or a
+    stack (..., 2) of them, giving states (n + 1, 2) or (..., n + 1, 2).
+    Every prefix product comes from one scan (``_su2_prefixes``), shared
+    by the whole stack, and is applied to each psi0 = (a, b) in closed
     form: the pair (alpha, beta) maps it to
     (alpha a + beta b, conj(alpha conj(b) - beta conj(a))).
     """
     p = _su2_prefixes(us)
     alpha, beta = p[:, 0], p[:, 1]
-    a, b = psi0
-    states = np.empty((us.shape[0] + 1, 2), dtype=complex)
-    states[0] = psi0
-    states[1:, 0] = alpha * a + beta * b
-    np.conjugate(alpha * np.conj(b) - beta * np.conj(a), out=states[1:, 1])
+    a, b = psi0[..., :1], psi0[..., 1:]
+    states = np.empty(psi0.shape[:-1] + (us.shape[0] + 1, 2), dtype=complex)
+    states[..., 0, :] = psi0
+    states[..., 1:, 0] = alpha * a + beta * b
+    np.conjugate(alpha * np.conj(b) - beta * np.conj(a), out=states[..., 1:, 1])
     return states
 
 
@@ -243,16 +222,18 @@ def _chain_product(us):
 def _fixed_states(us, psi0):
     """One rung's states from its step unitaries, each row renormalized once.
 
+    ``psi0`` is one state (2,) or a stack (..., 2), as in ``_apply_chain``.
+
     Products of many near-identity steps drift off the unit sphere by a
     rounding error that grows with the step count; one renormalization
     per rung removes it.
     """
     states = _apply_chain(us, psi0)
-    # the bits of states / np.linalg.norm(states, axis=1), in fewer passes:
+    # the bits of states / np.linalg.norm(states, axis=-1), in fewer passes:
     # numpy divides a complex x by a real r as x * (1 / r)
     sq = (states.conj() * states).real
     flat = states.view(float)
-    flat *= 1.0 / np.sqrt(sq[:, :1] + sq[:, 1:])
+    flat *= 1.0 / np.sqrt(sq[..., :1] + sq[..., 1:])
     return states
 
 
@@ -267,48 +248,16 @@ def _matrix_of_states(psi0, psi1):
 
 
 def _bloch_rows(states):
-    z = np.conj(states[:, 0]) * states[:, 1]
+    """Bloch vectors (..., 3) of the states (..., 2)."""
+    z = np.conj(states[..., 0]) * states[..., 1]
     return np.stack(
-        [2.0 * z.real, 2.0 * z.imag, np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2],
+        [2.0 * z.real, 2.0 * z.imag, np.abs(states[..., 0]) ** 2 - np.abs(states[..., 1]) ** 2],
         axis=-1,
     )
 
 
-def propagate(s: FieldSchedule, psi0, cfg: PropagatorConfig | None = None) -> Trajectory:
-    """Propagate a single-qubit state over one schedule period.
-
-    Parameters
-    ----------
-    s : FieldSchedule
-    psi0 : array_like, shape (2,)
-        Normalized initial state.
-    cfg : PropagatorConfig, optional
-
-    Returns
-    -------
-    Trajectory
-        States on the grid of the finer of the first two successive
-        resolutions whose final states agree within cfg.tolerance.
-
-    Raises
-    ------
-    NonConvergenceError
-        If successive refinements never agree within cfg.tolerance.
-    """
-    cfg = cfg or PropagatorConfig()
-    psi0 = np.asarray(psi0, dtype=complex)
-    pauli.assert_normalized(psi0)
-
-    def run(steps):
-        ts = time_grid(s, steps)
-        return ts, _fixed_states(_step_unitaries(s.sample, ts), psi0)
-
-    ts, states = refine(run, _last_row_change(cfg), cfg, "propagation")
-    return Trajectory(ts, states, _bloch_rows(states), s.label)
-
-
 def total_unitary(s: FieldSchedule, cfg: PropagatorConfig | None = None):
-    """One-period 2x2 propagator matrix, step-doubled like ``propagate``.
+    """One-period 2x2 propagator matrix, step-doubled by ``refine``.
 
     Closed-form CF4 steps multiplied by a pairwise product tree, so no
     per-step state storage; convergence is judged on the matrix entries.

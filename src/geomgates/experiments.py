@@ -127,26 +127,20 @@ def fig1_sweep(cfg: Config, variant, prop: PropagatorConfig | None = None):
     tau0 = 2.0 * np.pi / f.omega0
     ratios = f.tau_grid.values()
 
-    def point(r):
+    def branch(r, delta):
+        # one control branch per call, so that no decomposition (and its
+        # Bloch path) outlives its branch
         omega = f.omega0 / r
         omega1 = f.omega1_a * f.coupling_j if variant == "a" else f.coupling_j - omega
-        row = []
-        for delta in (0, 1):
-            p = NmrParams(
-                omega0=f.omega0, omega1=omega1, omega=omega, j=f.coupling_j, delta=delta
-            )
-            s = nmr_conditional_schedule(p)
-            pair = cyclic_pair_nmr(p)
-            d = decompose(s, pair.psi_minus, prop)
-            row.append(
-                (
-                    d.geometric,
-                    wrap_pi(berry_adiabatic(negated_schedule(s))),
-                    pair.chi,
-                    d.cyclicity_defect,
-                )
-            )
-        return row
+        p = NmrParams(omega0=f.omega0, omega1=omega1, omega=omega, j=f.coupling_j, delta=delta)
+        s = nmr_conditional_schedule(p)
+        pair = cyclic_pair_nmr(p)
+        d = decompose(s, pair.psi_minus, prop)
+        adiabatic = wrap_pi(berry_adiabatic(negated_schedule(s)))
+        return d.geometric, adiabatic, pair.chi, d.cyclicity_defect
+
+    def point(r):
+        return [branch(r, delta) for delta in (0, 1)]
 
     exact = {0: [], 1: []}
     adia = {0: [], 1: []}
@@ -208,7 +202,7 @@ def ej_average(f: Fig2Config):
     """
     p = _josephson_params(f, f.cos_chi0, 2.0 * np.pi)
     us = np.linspace(0.0, 1.0, 4097)
-    return _simpson(josephson_ej(p, us), us)
+    return float(_simpson(josephson_ej(p, us), us))
 
 
 def tau0_candidates(f: Fig2Config):

@@ -120,9 +120,11 @@ def block_phase_separable(u4, tol=1e-9):
 
 
 def gate_fidelity(u, v):
-    """Global-phase-free overlap |tr(U^dag V)| / dim.
+    """Global-phase-free overlap |tr(U^dag V)| / dim, at most 1.
 
     Both arguments must be unitary (within the package-wide tolerance).
+    Rounding can push the overlap a last ulp above 1; it is clipped, as
+    the composite defect in ``synthesize_double_loop`` is.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -131,7 +133,7 @@ def gate_fidelity(u, v):
         if d > pauli.UNITARY_ATOL:
             raise ValueError(f"{name} argument is not unitary (defect {d:.3e})")
     dim = u.shape[0]
-    return float(abs(np.trace(u.conj().T @ v)) / dim)
+    return min(float(abs(np.trace(u.conj().T @ v)) / dim), 1.0)
 
 
 def align_phase(u, v):

@@ -75,6 +75,7 @@ class PhaseDecomposition:
     cyclic enough (defect below the configured threshold) for the split to
     be meaningful.  ``unitary`` is the loop's one-period propagator when
     ``decompose`` was asked for it (``with_unitary=True``), else None.
+    ``bloch`` is the (n + 1, 3) Bloch path on the accepted rung's grid.
     """
 
     total: float
@@ -83,6 +84,7 @@ class PhaseDecomposition:
     cyclicity_defect: float
     valid: bool
     unitary: np.ndarray | None = field(default=None, compare=False)
+    bloch: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -162,15 +164,17 @@ def _pair_defect(u, pair: CyclicPair):
 def _simpson(y, x):
     """Composite Simpson rule h/3 (y0 + yn + 4 sum y_odd + 2 sum y_even).
 
-    ``x`` is a uniform grid with an even number of steps, that is an odd
-    number of samples; any other sample count raises ValueError.
+    Integrates along the last axis of ``y``.  ``x`` is a uniform grid with
+    an even number of steps, that is an odd number of samples; any other
+    sample count raises ValueError.
     """
     y = np.asarray(y, dtype=float)
-    n = len(y)
+    n = y.shape[-1]
     if n < 3 or n % 2 == 0:
         raise ValueError(f"Simpson's rule needs an odd number >= 3 of samples, got {n}")
     h = (x[-1] - x[0]) / (n - 1)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
+    odd, even = np.sum(y[..., 1:-1:2], axis=-1), np.sum(y[..., 2:-1:2], axis=-1)
+    return h / 3.0 * (y[..., 0] + y[..., -1] + 4.0 * odd + 2.0 * even)
 
 
 def _expectation_integral(s: FieldSchedule, ts, bloch):
@@ -178,9 +182,11 @@ def _expectation_integral(s: FieldSchedule, ts, bloch):
 
     The field is smooth over the loop, so one composite Simpson sum over
     the whole uniform grid ``ts`` (an even number of steps, see
-    ``evolve.time_grid``) suffices.
+    ``evolve.time_grid``) suffices.  ``bloch`` is one path (n + 1, 3) or a
+    stack (..., n + 1, 3) of paths, all integrated against one sampling of
+    the field.
     """
-    energy = -0.5 * np.einsum("nk,nk->n", np.asarray(s.sample(ts), dtype=float), bloch)
+    energy = -0.5 * np.einsum("nk,...nk->...n", np.asarray(s.sample(ts), dtype=float), bloch)
     return _simpson(energy, ts)
 
 
@@ -192,71 +198,76 @@ def decompose(
     quad_tol=1e-9,
     quad_rtol=1e-11,
     with_unitary=False,
-) -> PhaseDecomposition:
+) -> PhaseDecomposition | tuple[PhaseDecomposition, ...]:
     """Split the phase acquired over one schedule period.
 
-    Propagation and the dynamical-phase quadrature are refined together
-    (step doubling) until the final state moves by at most cfg.tolerance
-    and the dynamical integral by at most ``quad_tol + quad_rtol * |value|``
-    radians.  The relative term matters for slow loops whose dynamical
-    phase accumulates hundreds of radians: there the quadrature's rounding
-    floor sits above any fixed absolute tolerance, so a pure absolute
-    criterion could never be met.
+    ``psi0`` is one normalized state (2,) or a stack (k, 2) of them; a
+    stack shares one ladder, whose every rung builds its steps and their
+    prefix products once for all k states.  Propagation and the
+    dynamical-phase quadrature are refined together (step doubling) until
+    every final state moves by at most cfg.tolerance and every dynamical
+    integral by at most ``quad_tol + quad_rtol * |value|`` radians.  The
+    relative term matters for slow loops whose dynamical phase accumulates
+    hundreds of radians: there the quadrature's rounding floor sits above
+    any fixed absolute tolerance, so a pure absolute criterion could never
+    be met.
 
     With ``with_unitary=True`` the same ladder also yields the loop's
-    one-period propagator, read from its state chain: the SU(2) matrix
-    mapping psi0 to the rung's final state (``evolve._matrix_of_states``).
-    A rung is then accepted only when its entries, too, move by at most
-    cfg.tolerance (the ``total_unitary`` criterion).  The converged
-    matrix, projected onto the unitary group, is stored on ``unitary``.
+    one-period propagator, read from the first state's chain: the SU(2)
+    matrix mapping it to the rung's final state
+    (``evolve._matrix_of_states``).  A rung is then accepted only when its
+    entries, too, move by at most cfg.tolerance (the ``total_unitary``
+    criterion).  The converged matrix, projected onto the unitary group,
+    is stored on ``unitary``.
 
     Returns
     -------
-    PhaseDecomposition
+    PhaseDecomposition, or a tuple of k of them for a stack
         total = arg<psi0|psi(T)>, dynamical = -integral <H> dt,
         geometric = (total - dynamical) reduced to (-pi, pi],
         cyclicity_defect = 1 - |<psi0|psi(T)>|, the validity flag
-        cyclicity_defect <= cyclicity_threshold, and ``unitary`` (None
-        unless ``with_unitary``).
+        cyclicity_defect <= cyclicity_threshold, ``unitary`` (None
+        unless ``with_unitary``) and the accepted rung's Bloch path.
     """
     cfg = cfg or evolve.PropagatorConfig()
     psi0 = np.asarray(psi0, dtype=complex)
-    pauli.assert_normalized(psi0)
+    if psi0.ndim not in (1, 2) or psi0.shape[-1] != 2:
+        raise ValueError(f"expected a state (2,) or a stack (k, 2), got shape {psi0.shape}")
+    stack = psi0.reshape(-1, 2)
+    for psi in stack:
+        pauli.assert_normalized(psi)
 
     def run(steps):
         ts = evolve.time_grid(s, steps)
-        us = evolve._step_unitaries(s.sample, ts)
-        states = evolve._fixed_states(us, psi0)
+        states = evolve._fixed_states(evolve._step_unitaries(s.sample, ts), psi0)
         bloch = evolve._bloch_rows(states)
         dyn = -_expectation_integral(s, ts, bloch)
-        u = evolve._matrix_of_states(psi0, states[-1]) if with_unitary else None
-        return states[-1], dyn, u
-
-    def package(fin_c, dyn_c, u_c):
-        ov = np.vdot(psi0, fin_c)
-        total = float(np.angle(ov))
-        # Rounding can push |<psi0|psi(T)>| a last ulp above 1.
-        defect = 1.0 - min(float(abs(ov)), 1.0)
-        return PhaseDecomposition(
-            total=total,
-            dynamical=dyn_c,
-            geometric=pauli.wrap_pi(total - dyn_c),
-            cyclicity_defect=defect,
-            valid=bool(defect <= cyclicity_threshold),
-            unitary=None if u_c is None else evolve._unitary_projection(u_c),
-        )
+        # a copy, so that the previous rung keeps its path but not its states
+        fin = states[..., -1, :].reshape(-1, 2).copy()
+        u = evolve._matrix_of_states(stack[0], fin[0]) if with_unitary else None
+        return fin, np.ravel(dyn), u, bloch.reshape(len(stack), -1, 3)
 
     def criteria(prev, cur):
-        bound = quad_tol + quad_rtol * abs(cur[1])
-        found = [
-            evolve._state_change(prev[0], cur[0], cfg),
-            ("dynamical-phase", abs(cur[1] - prev[1]), bound, " rad"),
-        ]
+        found = [evolve._state_change(prev[0], cur[0], cfg)]
+        for d_prev, d_cur in zip(prev[1], cur[1]):
+            bound = quad_tol + quad_rtol * abs(d_cur)
+            found.append(("dynamical-phase", abs(d_cur - d_prev), bound, " rad"))
         if with_unitary:
             found.append(evolve._state_change(prev[2], cur[2], cfg, "matrix"))
         return found
 
-    return package(*evolve.refine(run, criteria, cfg, "phase decomposition"))
+    fin, dyn, u, bloch = evolve.refine(run, criteria, cfg, "phase decomposition")
+    u = None if u is None else evolve._unitary_projection(u)
+    parts = []
+    for psi, fin_c, dyn_c, path in zip(stack, fin, map(float, dyn), bloch):
+        ov = np.vdot(psi, fin_c)
+        total = float(np.angle(ov))
+        # Rounding can push |<psi0|psi(T)>| a last ulp above 1.
+        defect = 1.0 - min(float(abs(ov)), 1.0)
+        valid = bool(defect <= cyclicity_threshold)
+        geometric = pauli.wrap_pi(total - dyn_c)
+        parts.append(PhaseDecomposition(total, dyn_c, geometric, defect, valid, u, path))
+    return tuple(parts) if psi0.ndim == 2 else parts[0]
 
 
 def _nearest_fill(values, good):
@@ -281,11 +292,11 @@ def solid_angle(path, closed_atol=1e-6) -> SolidAngleResult:
 
     Parameters
     ----------
-    path : Trajectory or ndarray (n, 3)
-        Unit Bloch vectors; first and last samples must agree within
-        ``closed_atol``.
+    path : ndarray (n, 3)
+        Unit Bloch vectors, such as ``PhaseDecomposition.bloch``; first and
+        last samples must agree within ``closed_atol``.
     """
-    n = path.bloch if isinstance(path, evolve.Trajectory) else np.asarray(path, float)
+    n = np.asarray(path, float)
     if n.ndim != 2 or n.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) Bloch path, got shape {n.shape}")
     if float(np.max(np.abs(n[0] - n[-1]))) > closed_atol:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import experiments, gates, pauli, phases
 from .config import Config
-from .evolve import final_state, propagate, rotating_frame_oracle, total_unitary, two_qubit_unitary
+from .evolve import final_state, rotating_frame_oracle, total_unitary, two_qubit_unitary
 from .fields import (
     NmrParams,
     nmr_conditional_schedule,
@@ -200,6 +200,12 @@ def _nmr_cone(cfg: Config, chi) -> NmrParams:
     )
 
 
+def _pair_geometric(s, pair, prop):
+    """Geometric phases of both pair members, from one ladder."""
+    d_plus, d_minus = phases.decompose(s, [pair.psi_plus, pair.psi_minus], prop)
+    return d_plus.geometric, d_minus.geometric
+
+
 def check_loop_phase_law(cfg: Config, prop=None):
     """Measured one-loop geometric phase vs pi (1 - cos chi) across cones.
 
@@ -216,8 +222,7 @@ def check_loop_phase_law(cfg: Config, prop=None):
         s = nmr_schedule(p)
         pair = phases.cyclic_pair_nmr(p)
         law = phases.loop_phase(chi)
-        g_plus = phases.decompose(s, pair.psi_plus, prop).geometric
-        g_minus = phases.decompose(s, pair.psi_minus, prop).geometric
+        g_plus, g_minus = _pair_geometric(s, pair, prop)
         worst = max(worst, angle_dist(g_plus, -law), angle_dist(g_minus, law))
     out = [_le("loop_phase_law_rotating_drive", worst, 1e-7, f"{len(chis)} cone angles")]
 
@@ -238,7 +243,8 @@ def check_loop_phase_law(cfg: Config, prop=None):
 # ---------------------------------------------------------------------------
 
 def check_solid_angle_consistency(cfg: Config, prop=None):
-    """The Bloch-path line integral agrees with total minus dynamical."""
+    """The Bloch-path line integral agrees with total minus dynamical,
+    both read from one ladder per loop."""
     prop = prop or cfg.propagator
     chis = cfg.verify.chi_grid.values()[::3]
     worst = 0.0
@@ -253,9 +259,8 @@ def check_solid_angle_consistency(cfg: Config, prop=None):
         js = experiments.josephson_schedule(jp)
         jpair = phases.cyclic_pair_josephson(jp)
         for sched, psi in ((s, pair.psi_plus), (js, jpair.psi_plus)):
-            traj = propagate(sched, psi, prop)
-            sa = phases.solid_angle(traj.bloch)
             d = phases.decompose(sched, psi, prop)
+            sa = phases.solid_angle(d.bloch)
             worst = max(worst, angle_dist(wrap_pi(sa.gamma), d.geometric))
             runs += 1
     return [_le("solid_angle_vs_decomposition", worst, 1e-6, f"{runs} cyclic runs")]
@@ -269,17 +274,13 @@ def check_antisymmetry(cfg: Config, prop=None):
     """Antipodal pair members acquire opposite geometric phases."""
     prop = prop or cfg.propagator
     p = _nmr_reference(cfg)
-    s = nmr_schedule(p)
     pair = phases.cyclic_pair_nmr(p)
-    gp = phases.decompose(s, pair.psi_plus, prop).geometric
-    gm = phases.decompose(s, pair.psi_minus, prop).geometric
+    gp, gm = _pair_geometric(nmr_schedule(p), pair, prop)
     out = [_le("antisymmetry_rotating_drive", angle_dist(gm, -gp), 1e-8)]
 
     jp = _josephson_reference(cfg)
-    js = experiments.josephson_schedule(jp)
     jpair = phases.cyclic_pair_josephson(jp)
-    gp = phases.decompose(js, jpair.psi_plus, prop).geometric
-    gm = phases.decompose(js, jpair.psi_minus, prop).geometric
+    gp, gm = _pair_geometric(experiments.josephson_schedule(jp), jpair, prop)
     out.append(_le("antisymmetry_charge_drive", angle_dist(gm, -gp), 1e-8))
     return out
 

@@ -15,8 +15,10 @@ None of these is used by the package itself:
   one-period 4x4 propagator.
 
 Each is step-doubled by ``evolve.refine``: the trajectories on their final
-row, returning the converged grid with its rows, the propagator on its
-matrix entries.
+row (``_last_row_change``), returning the converged grid with its rows,
+the propagator on its matrix entries.  The package itself reads a
+single-qubit Bloch path from ``phases.decompose(...).bloch``, the path of
+the same ladder that splits the phase.
 """
 
 from dataclasses import replace
@@ -26,6 +28,11 @@ import numpy as np
 from geomgates import evolve, fields, pauli
 from geomgates.evolve import PropagatorConfig, refine, time_grid
 from geomgates.pauli import PAULI, kron
+
+
+def _last_row_change(cfg: PropagatorConfig):
+    """Criteria on the last rows of two (grid, rows) rungs."""
+    return lambda a, b: [evolve._state_change(a[1][-1], b[1][-1], cfg)]
 
 
 def _rotation_matrices(axes, angles):
@@ -65,7 +72,7 @@ def bloch_integrate(s, n0, cfg: PropagatorConfig):
     """Integrate the classical precession dn/dt = n x B: (ts, Bloch path).
 
     The sign convention matches H = -(1/2) B . sigma: the quantum Bloch
-    vector of ``evolve.propagate`` and this integrator agree.  Steps are
+    path of ``phases.decompose`` and this integrator agree.  Steps are
     exact rotations about the midpoint field, renormalized each step, so
     this reference is second order, independent of the CF4 stepper.
     """
@@ -74,7 +81,7 @@ def bloch_integrate(s, n0, cfg: PropagatorConfig):
         raise ValueError("initial Bloch vector must be unit length")
     return refine(
         lambda steps: _fixed_bloch(s, n0, steps),
-        evolve._last_row_change(cfg),
+        _last_row_change(cfg),
         cfg,
         "Bloch integration",
     )
@@ -143,7 +150,7 @@ def block_trajectory(model, psi4, cfg: PropagatorConfig):
             blocks.append(phase[:, None] * block)
         return ts, _normalized_rows(np.concatenate(blocks, axis=1))
 
-    return refine(run, evolve._last_row_change(cfg), cfg, "block two-qubit propagation")
+    return refine(run, _last_row_change(cfg), cfg, "block two-qubit propagation")
 
 
 def target_schedule(model):
@@ -199,7 +206,7 @@ def dense_trajectory(model, psi4, cfg: PropagatorConfig):
         states = loop_chain(dense_step_unitaries(model, ts), psi4)
         return ts, _normalized_rows(states)
 
-    return refine(run, evolve._last_row_change(cfg), cfg, "dense two-qubit propagation")
+    return refine(run, _last_row_change(cfg), cfg, "dense two-qubit propagation")
 
 
 def _matrix_product(us):

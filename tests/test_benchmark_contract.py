@@ -68,3 +68,32 @@ def test_step_counters_read_true_step_counts(quick):
     # only the finest rung's steps count as useful
     top = quick.steps_per_period * 2 ** (rungs - 1)
     assert np.isclose(both["evolve.useful_step_ratio"], top / ladder_steps)
+
+
+def test_a_state_stack_runs_one_ladder(quick):
+    tracing = _tracing()
+    p = fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1)
+    s, pair = fields.nmr_schedule(p), phases.cyclic_pair_nmr(p)
+    single = tracing.Recorder()
+    single.install()
+    try:
+        phases.decompose(s, pair.psi_plus, quick)
+    finally:
+        single.uninstall()
+    stacked = tracing.Recorder()
+    stacked.install()
+    try:
+        phases.decompose(s, [pair.psi_plus, pair.psi_minus], quick)
+    finally:
+        stacked.uninstall()
+    one, one_hist = tracing.summarize(single, 1)
+    both, both_hist = tracing.summarize(stacked, 1)
+    # the pair climbs the same rungs as its first member, in one ladder
+    assert both_hist == one_hist
+    (ladder,) = both_hist
+    rungs = int(ladder.split(":")[1])
+    ladder_steps = quick.steps_per_period * (2**rungs - 1)
+    for key in ("step_unitaries", "apply_chain"):
+        assert both[f"evolve.{key}.steps"] == one[f"evolve.{key}.steps"] == ladder_steps
+    # one field sampling per rung, on its ladder_steps + 1 grid points
+    assert both["phases.expectation_integral.samples"] == ladder_steps + rungs

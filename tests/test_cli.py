@@ -293,6 +293,63 @@ def test_bad_gate_spec_exits_two_with_one_line(tmp_path, fast_ini, spec, message
     assert "Traceback" not in run.stderr and "Warning" not in run.stderr
 
 
+def _capped_copy(ini, path, section, edits):
+    """``ini`` at 16 steps per period and 2 rungs, with ``edits`` in ``section``."""
+    cp = configparser.ConfigParser()
+    cp.read(ini)
+    cp.set("numerics", "steps_per_period", "16")
+    cp.set("numerics", "max_refinements", "2")
+    for key, value in edits.items():
+        cp.set(section, key, value)
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, edits, message",
+    [
+        ("fig2b", {"field_tau_over_tau0": "0"}, "field_tau_over_tau0 must be positive"),
+        ("fig2b", {"field_tau_over_tau0": "-5"}, "field_tau_over_tau0 must be positive"),
+        ("fig2b", {"field_tau_over_tau0": "1e-320"}, "drive frequency or period overflows"),
+        ("fig2c", {"e1": "1e300"}, "junction energies overflow a float"),
+    ],
+    ids=["zero-field-trace", "negative-field-trace", "subnormal-field-trace", "huge-junction"],
+)
+def test_bad_fig2_ini_exits_two_with_one_line(tmp_path, fast_ini, command, edits, message):
+    # A fresh interpreter, so a traceback would show on stderr.
+    ini = _capped_copy(fast_ini, tmp_path / "bad.ini", "fig2", edits)
+    run = _run_python(
+        "-m", "geomgates.cli", command, "--config", str(ini), "--out", str(tmp_path / "out")
+    )
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1
+    assert message in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize(
+    "command, section, edits, message",
+    [
+        ("fig1a", "fig1", {"tau_scale": "linear", "tau_min": "0"}, "[fig1] tau grid must be"),
+        ("fig2c", "fig2", {"tau_scale": "linear", "tau_min": "0"}, "[fig2] tau grid must be"),
+        ("verify", "verify", {"chi_min": "0"}, "chi grid must lie strictly inside (0, pi)"),
+        ("verify", "verify", {"oracle_scale": "linear", "oracle_min": "0"}, "oracle grid must"),
+        ("verify", "verify", {"block_tau_over_tau0": "0 1"}, "block_tau_over_tau0 must be"),
+    ],
+    ids=["fig1-tau-zero", "fig2-tau-zero", "chi-zero", "oracle-zero", "block-tau-zero"],
+)
+def test_loop_grids_outside_their_domain_exit_two(
+    tmp_path, fast_ini, capsys, command, section, edits, message
+):
+    ini = _capped_copy(fast_ini, tmp_path / "bad.ini", section, edits)
+    rc = cli.main([command, "--config", str(ini), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert message in err
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["render"])
@@ -366,14 +423,27 @@ def test_mutated_gate_specs_exit_cleanly(capped_ini, base, mutations):
 _INI_FLOAT_KEYS = {
     "numerics": ("tolerance",),
     "fig1": ("omega0", "omega1_a", "coupling_j", "tau_min", "tau_max"),
+    "fig2": (
+        "e1", "e2", "e_ch", "cos_chi0", "cos_chi0_inset", "tau_min", "tau_max",
+        "field_tau_over_tau0",
+    ),
     "sweep": ("omega0", "omega1_target", "coupling_j", "omega", "detuning_min", "detuning_max"),
+    "verify": ("chi_min", "chi_max", "field_scale", "josephson_omega", "oracle_min", "oracle_max"),
 }
 _INI_COUNT_KEYS = {
     "numerics": ("steps_per_period",),
     "fig1": ("tau_points",),
+    "fig2": ("tau_points", "field_samples"),
     "sweep": ("detuning_points",),
+    "verify": ("chi_points", "oracle_points"),
 }
-_INI_SCALE_KEYS = {"fig1": ("tau_scale",), "sweep": ("detuning_scale",)}
+_INI_SCALE_KEYS = {
+    "fig1": ("tau_scale",),
+    "fig2": ("tau_scale",),
+    "sweep": ("detuning_scale",),
+    "verify": ("chi_scale", "oracle_scale"),
+}
+_INI_LIST_KEYS = {"verify": ("block_tau_over_tau0", "rotation_angles")}
 _INI_TEXT = st.sampled_from(["", "x", "1.5.2", "0x10", "1e", "nan", "inf", "-inf", "[1]", "1,2"])
 _INI_FLOATS = st.one_of(
     st.floats(-50.0, 50.0).map(repr),
@@ -385,6 +455,9 @@ _INI_COUNTS = st.one_of(
     st.integers(-3, 40).map(str), st.sampled_from(["2.0", "1e1", "-0"]), _INI_TEXT
 )
 _INI_RUNGS = st.one_of(st.integers(-3, 4).map(str), st.sampled_from(["2.0", "-0"]), _INI_TEXT)
+_INI_LISTS = st.one_of(
+    st.lists(_INI_FLOATS.filter(lambda v: " " not in v), max_size=3).map(" ".join), _INI_TEXT
+)
 _INI_MUTATION = st.one_of(
     *[
         st.tuples(st.just(sec), st.sampled_from(keys), values)
@@ -393,6 +466,7 @@ _INI_MUTATION = st.one_of(
             (_INI_COUNT_KEYS, _INI_COUNTS),
             ({"numerics": ("max_refinements",)}, _INI_RUNGS),
             (_INI_SCALE_KEYS, st.one_of(st.sampled_from(["log", "linear", "LOG"]), _INI_TEXT)),
+            (_INI_LIST_KEYS, _INI_LISTS),
         )
         for sec, keys in table.items()
     ],
@@ -405,9 +479,9 @@ _INI_MUTATION = st.one_of(
 )
 
 
-@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    command=st.sampled_from(["fig1a", "fig1b", "sweep"]),
+    command=st.sampled_from(["fig1a", "fig1b", "fig2b", "fig2c", "sweep", "verify"]),
     mutations=st.lists(_INI_MUTATION, min_size=1, max_size=3),
 )
 def test_mutated_ini_exits_cleanly(tmp_path_factory, command, mutations):
@@ -416,8 +490,15 @@ def test_mutated_ini_exits_cleanly(tmp_path_factory, command, mutations):
     # 16 steps doubled twice; the loose tolerance lets the sweep converge
     for key, value in (("steps_per_period", "16"), ("max_refinements", "2"), ("tolerance", "1e-3")):
         cp.set("numerics", key, value)
-    cp.set("fig1", "tau_points", "3")
-    cp.set("sweep", "detuning_points", "2")
+    for section, key, value in (
+        ("fig1", "tau_points", "3"),
+        ("fig2", "tau_points", "3"),
+        ("fig2", "field_samples", "64"),
+        ("sweep", "detuning_points", "2"),
+        ("verify", "chi_points", "3"),
+        ("verify", "oracle_points", "2"),
+    ):
+        cp.set(section, key, value)
     for section, key, value in mutations:
         if value is None:
             cp.remove_option(section, key)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from geomgates import evolve, fields, pauli
+from geomgates import evolve, fields, pauli, phases
 from reference import (
     block_trajectory,
     bloch_integrate,
@@ -55,13 +55,13 @@ def test_fourth_order_convergence_against_oracle():
 
 def test_trajectory_norms_and_bloch_consistency(quick):
     s = fields.nmr_schedule(P)
-    traj = evolve.propagate(s, PSI0, quick)
-    norms = np.linalg.norm(traj.states, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-12
-    direct = np.array([pauli.bloch_of_state(psi) for psi in traj.states[::50]])
-    assert np.max(np.abs(traj.bloch[::50] - direct)) < 1e-7
-    assert abs(traj.times[-1] - s.period) < 1e-12
-    assert np.allclose(traj.final_state, traj.states[-1])
+    path = phases.decompose(s, PSI0, quick).bloch
+    assert np.max(np.abs(np.linalg.norm(path, axis=1) - 1.0)) < 1e-12
+    # the path lies on the accepted rung's grid: 512 * 2**r steps
+    assert (len(path) - 1) % quick.steps_per_period == 0
+    assert np.max(np.abs(path[0] - pauli.bloch_of_state(PSI0))) <= 1e-15
+    fin = evolve.final_state(s, PSI0, quick)
+    assert np.max(np.abs(path[-1] - pauli.bloch_of_state(fin))) < 1e-6
 
 
 def test_total_unitary_reproduces_final_states(accurate):
@@ -75,18 +75,9 @@ def test_total_unitary_reproduces_final_states(accurate):
 
 def test_bloch_integrate_follows_state_propagation(quick):
     s = fields.nmr_schedule(P)
-    traj_psi = evolve.propagate(s, PSI0, quick)
+    quantum = phases.decompose(s, PSI0, quick).bloch
     _, path = bloch_integrate(s, pauli.bloch_of_state(PSI0), quick)
-    assert np.max(np.abs(path[-1] - traj_psi.bloch[-1])) < 1e-6
-
-
-def test_nonconvergence_raises():
-    s = fields.nmr_schedule(P)
-    cfg = evolve.PropagatorConfig(
-        steps_per_period=16, tolerance=1e-300, max_refinements=2
-    )
-    with pytest.raises(evolve.NonConvergenceError):
-        evolve.propagate(s, PSI0, cfg)
+    assert np.max(np.abs(path[-1] - quantum[-1])) < 1e-6
 
 
 def test_propagator_config_validation():
@@ -101,7 +92,12 @@ def test_propagator_config_validation():
 def test_propagate_rejects_unnormalized_state(quick):
     s = fields.nmr_schedule(P)
     with pytest.raises(ValueError):
-        evolve.propagate(s, np.array([1.0, 1.0]), quick)
+        phases.decompose(s, np.array([1.0, 1.0]), quick)
+    # every member of a stack is checked, and a stack holds (2,) states only
+    with pytest.raises(ValueError):
+        phases.decompose(s, [PSI0, np.array([1.0, 1.0])], quick)
+    with pytest.raises(ValueError):
+        phases.decompose(s, np.full(4, 0.5), quick)
 
 
 def _two_qubit_case():

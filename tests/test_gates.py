@@ -114,6 +114,15 @@ def test_gate_fidelity_and_alignment():
     assert gates.gate_fidelity(u, w) < 1.0 - 1e-4
 
 
+def test_gate_fidelity_never_exceeds_one():
+    # the 50x50 grid of verify.check_gate_algebra; unclipped, 672 of its
+    # gates read 1.0000000000000002 against themselves
+    for chi in np.linspace(0.0, np.pi, 50):
+        for gamma in np.linspace(-np.pi, np.pi, 50):
+            u = gates.build_gate(gates.GateSpec(chi, gamma))
+            assert gates.gate_fidelity(u, u) <= 1.0
+
+
 def test_reconstruct_gate_from_runs_matches_cone_form(accurate):
     s = fields.nmr_schedule(P)
     pair = phases.cyclic_pair_nmr(P)

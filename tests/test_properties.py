@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from geomgates import evolve, experiments, fields, gates, phases, verify
 from geomgates.evolve import total_unitary, two_qubit_unitary
-from geomgates.pauli import angle_dist, expm_pauli, state_of_angles, unitarity_defect, wrap_pi
+from geomgates.pauli import (
+    angle_dist,
+    bloch_of_state,
+    expm_pauli,
+    state_of_angles,
+    unitarity_defect,
+    wrap_pi,
+)
 from reference import dense_unitary
 
 nmr_params = st.builds(
@@ -75,8 +82,8 @@ def test_total_minus_dynamical_follows_loop_phase_law(accurate, p):
 @given(p=nmr_params)
 def test_bloch_path_solid_angle_equals_geometric_phase(accurate, p):
     s, psi = fields.nmr_schedule(p), phases.cyclic_pair_nmr(p).psi_plus
-    sa = phases.solid_angle(evolve.propagate(s, psi, accurate))
     d = phases.decompose(s, psi, accurate)
+    sa = phases.solid_angle(d.bloch)
     # the bound of the verify row solid_angle_vs_decomposition
     assert angle_dist(wrap_pi(sa.gamma), d.geometric) <= 1e-6
 
@@ -89,6 +96,46 @@ def test_rotated_drive_and_state_keep_the_geometric_phase(accurate, p, dchi):
     base = phases.decompose(s, psi, accurate)
     # the bound of the verify row rotation_invariance_of_phase
     assert angle_dist(rotated.geometric, base.geometric) <= 1e-8
+
+
+charge_drives = st.builds(
+    lambda e1, ratio, cos_chi0, tau_e1: fields.JosephsonParams(
+        e1=e1, e2=ratio * e1, e_ch=40.0, chi0=float(np.arccos(cos_chi0)),
+        omega=2.0 * np.pi * e1 / tau_e1,
+    ),
+    e1=st.floats(0.5, 2.0),
+    ratio=st.floats(0.2, 0.8),
+    cos_chi0=st.floats(-0.9, 0.9),
+    tau_e1=st.floats(3.0, 30.0),
+)
+
+
+@given(
+    drive=st.one_of(
+        nmr_params.map(lambda p: (fields.nmr_schedule(p), phases.cyclic_pair_nmr(p))),
+        charge_drives.map(
+            lambda p: (fields.josephson_schedule(p), phases.cyclic_pair_josephson(p))
+        ),
+    )
+)
+def test_pair_stack_equals_single_state_ladders(accurate, drive):
+    s, pair = drive
+    members = (pair.psi_plus, pair.psi_minus)
+    stacked = phases.decompose(s, np.stack(members), accurate)
+    assert isinstance(stacked, tuple) and len(stacked) == 2
+    for psi, part in zip(members, stacked):
+        single = phases.decompose(s, psi, accurate)
+        assert part == single
+        assert np.array_equal(part.bloch, single.bloch)
+        # the path starts at psi's Bloch vector and closes for a cyclic state
+        assert np.max(np.abs(part.bloch[0] - bloch_of_state(psi))) <= 1e-15
+        assert np.max(np.abs(part.bloch[-1] - part.bloch[0])) <= 1e-6
+    # the loop matrix comes from the first state's chain
+    first = phases.decompose(s, pair.psi_plus, accurate, with_unitary=True)
+    fused = phases.decompose(s, np.stack(members), accurate, with_unitary=True)
+    for part in fused:
+        assert part.unitary is fused[0].unitary
+    assert fused[0] == first and np.array_equal(fused[0].unitary, first.unitary)
 
 
 @given(p=nmr_params)
@@ -201,18 +248,7 @@ def _kept_steps():
 @given(
     drive=st.one_of(
         nmr_params.map(fields.nmr_schedule),
-        st.builds(
-            lambda e1, ratio, cos_chi0, tau_e1: fields.josephson_schedule(
-                fields.JosephsonParams(
-                    e1=e1, e2=ratio * e1, e_ch=40.0, chi0=float(np.arccos(cos_chi0)),
-                    omega=2.0 * np.pi * e1 / tau_e1,
-                )
-            ),
-            e1=st.floats(0.5, 2.0),
-            ratio=st.floats(0.2, 0.8),
-            cos_chi0=st.floats(-0.9, 0.9),
-            tau_e1=st.floats(3.0, 30.0),
-        ),
+        charge_drives.map(fields.josephson_schedule),
     ),
     theta=st.floats(0.0, np.pi),
     phi=st.floats(-np.pi, np.pi),
