@@ -32,10 +32,8 @@ from .fields import (  # noqa: F401
     JosephsonParams,
     NmrParams,
     TwoQubitModel,
-    josephson_conditional_schedule,
     josephson_schedule,
     negated_schedule,
-    nmr_conditional_schedule,
     nmr_schedule,
     nmr_two_qubit,
     reversed_schedule,

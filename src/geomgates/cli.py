@@ -54,7 +54,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="X",
-        help="override integrator refinement tolerance",
+        help="override integrator refinement tolerance (also sets the "
+        "dynamical-phase bound to 10*X rad)",
     )
     p.add_argument(
         "--format",
@@ -122,7 +123,7 @@ def main(argv=None) -> int:
             print("wrote", path)
             return 0 if report.passed else 1
         elif args.command == "gate":
-            path, report = experiments.run_gate(cfg, args.spec, args.out, args.fmt)
+            path, report = experiments.run_gate(cfg, args.spec, args.out)
             print("wrote", path)
             for key, value in sorted(report.flags.items()):
                 print(f"{key}: {value}")

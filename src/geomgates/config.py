@@ -112,7 +112,6 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class Config:
-    source: str
     propagator: PropagatorConfig
     fig1: Fig1Config
     fig2: Fig2Config
@@ -314,7 +313,6 @@ def load_config(path=None) -> Config:
     _check_loops("[verify] block_tau_over_tau0", fig1.omega0, fig1.omega0, min(r), max(r))
 
     return Config(
-        source=str(src),
         propagator=_propagator(cp),
         fig1=fig1,
         fig2=fig2,

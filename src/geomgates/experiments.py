@@ -29,7 +29,6 @@ from . import __version__
 from .config import Config, ConfigError, Fig2Config
 from .csvio import table_to_json, write_json, write_table
 from .evolve import (
-    PropagatorConfig,
     final_state,
     rotating_frame_oracle,
     time_grid,
@@ -38,11 +37,10 @@ from .evolve import (
 from .fields import (
     JosephsonParams,
     NmrParams,
-    josephson_conditional_schedule,
     josephson_ej,
     josephson_schedule,
     negated_schedule,
-    nmr_conditional_schedule,
+    nmr_schedule,
     nmr_two_qubit,
 )
 from .gates import REVERSAL_RULES, gate_report_to_json, synthesize_double_loop
@@ -75,10 +73,10 @@ __all__ = [
 _BASIS = {0: KET0, 1: KET1}
 
 
-def _numerics_meta(prop: PropagatorConfig):
+def _numerics_meta(cfg: Config):
     return {
-        "steps_per_period": prop.steps_per_period,
-        "tolerance": prop.tolerance,
+        "steps_per_period": cfg.propagator.steps_per_period,
+        "tolerance": cfg.propagator.tolerance,
     }
 
 
@@ -109,7 +107,7 @@ def _write(out_dir, stem, fmt, params, columns):
 # rotating-drive conditional phases (fig1)
 # ---------------------------------------------------------------------------
 
-def fig1_sweep(cfg: Config, variant, prop: PropagatorConfig | None = None):
+def fig1_sweep(cfg: Config, variant):
     """Conditional geometric phases vs operation time for the coupled drive.
 
     variant 'a': static z field fixed at omega1_a * J.
@@ -123,7 +121,6 @@ def fig1_sweep(cfg: Config, variant, prop: PropagatorConfig | None = None):
     if variant not in ("a", "b"):
         raise ConfigError(f"fig1 variant must be 'a' or 'b', got {variant!r}")
     f = cfg.fig1
-    prop = prop or cfg.propagator
     tau0 = 2.0 * np.pi / f.omega0
     ratios = f.tau_grid.values()
 
@@ -133,9 +130,9 @@ def fig1_sweep(cfg: Config, variant, prop: PropagatorConfig | None = None):
         omega = f.omega0 / r
         omega1 = f.omega1_a * f.coupling_j if variant == "a" else f.coupling_j - omega
         p = NmrParams(omega0=f.omega0, omega1=omega1, omega=omega, j=f.coupling_j, delta=delta)
-        s = nmr_conditional_schedule(p)
+        s = nmr_schedule(p)
         pair = cyclic_pair_nmr(p)
-        d = decompose(s, pair.psi_minus, prop)
+        d = decompose(s, pair.psi_minus, cfg.propagator)
         adiabatic = wrap_pi(berry_adiabatic(negated_schedule(s)))
         return d.geometric, adiabatic, pair.chi, d.cyclicity_defect
 
@@ -161,7 +158,7 @@ def fig1_sweep(cfg: Config, variant, prop: PropagatorConfig | None = None):
         "omega1": f.omega1_a * f.coupling_j if variant == "a" else "j - omega",
         "coupling_j": f.coupling_j,
         "tau0": tau0,
-        **_numerics_meta(prop),
+        **_numerics_meta(cfg),
     }
     columns = [("tau_over_tau0", ratios)]
     for delta in (0, 1):
@@ -180,8 +177,8 @@ def fig1_sweep(cfg: Config, variant, prop: PropagatorConfig | None = None):
     return params, columns
 
 
-def run_fig1(cfg: Config, variant, out_dir, fmt="csv", prop=None):
-    params, columns = fig1_sweep(cfg, variant, prop)
+def run_fig1(cfg: Config, variant, out_dir, fmt="csv"):
+    params, columns = fig1_sweep(cfg, variant)
     return _write(out_dir, f"fig1{variant}", fmt, params, columns)
 
 
@@ -270,7 +267,7 @@ def crossover_time(taus, devs, threshold=0.10):
     return float(np.exp(np.log(taus[i - 1]) + x * (np.log(taus[i]) - np.log(taus[i - 1]))))
 
 
-def fig2c_sweep(cfg: Config, cos_chi0, prop: PropagatorConfig | None = None):
+def fig2c_sweep(cfg: Config, cos_chi0):
     """Exact vs adiabatic one-loop phase for the designed charge-qubit drive.
 
     The sweep grid is tau / tau0 with tau0 = 1 / <E_J>; columns restate each
@@ -279,7 +276,6 @@ def fig2c_sweep(cfg: Config, cos_chi0, prop: PropagatorConfig | None = None):
     crossover time in absolute units and under all three readings.
     """
     f = cfg.fig2
-    prop = prop or cfg.propagator
     t0 = tau0_candidates(f)
     ref = t0["ej_avg"]
     ratios = f.tau_grid.values()
@@ -290,7 +286,7 @@ def fig2c_sweep(cfg: Config, cos_chi0, prop: PropagatorConfig | None = None):
         p = _josephson_params(f, cos_chi0, 2.0 * np.pi / tau)
         s = josephson_schedule(p)
         pair = cyclic_pair_josephson(p)
-        d = decompose(s, pair.psi_plus, prop)
+        d = decompose(s, pair.psi_plus, cfg.propagator)
         ga = berry_adiabatic(s)
         dev = abs(ga - d.geometric) / abs(d.geometric)
         return tau, d.geometric, ga, dev, d.cyclicity_defect
@@ -324,7 +320,7 @@ def fig2c_sweep(cfg: Config, cos_chi0, prop: PropagatorConfig | None = None):
         "tau0_ej_avg": t0["ej_avg"],
         "tau0_e_plus": t0["e_plus"],
         "tau0_e_minus_abs": t0["e_minus_abs"],
-        **_numerics_meta(prop),
+        **_numerics_meta(cfg),
     }
     columns = [
         ("tau_over_tau0_avg", ratios),
@@ -341,7 +337,7 @@ def fig2c_sweep(cfg: Config, cos_chi0, prop: PropagatorConfig | None = None):
     return params, columns, extras
 
 
-def run_fig2c(cfg: Config, out_dir, fmt="csv", prop=None):
+def run_fig2c(cfg: Config, out_dir, fmt="csv"):
     """Write the main and small-angle sweeps plus the crossover summary.
 
     Returns (paths, VerificationReport); the report carries the figure's
@@ -350,8 +346,8 @@ def run_fig2c(cfg: Config, out_dir, fmt="csv", prop=None):
     from . import verify  # lazy: verify imports this module at top level
 
     out_dir = Path(out_dir)
-    main = fig2c_sweep(cfg, cfg.fig2.cos_chi0, prop)
-    inset = fig2c_sweep(cfg, cfg.fig2.cos_chi0_inset, prop)
+    main = fig2c_sweep(cfg, cfg.fig2.cos_chi0)
+    inset = fig2c_sweep(cfg, cfg.fig2.cos_chi0_inset)
     paths = [
         _write(out_dir, "fig2c", fmt, main[0], main[1]),
         _write(out_dir, "fig2c_inset", fmt, inset[0], inset[1]),
@@ -403,7 +399,7 @@ def _dense_total(u, pair, delta):
     return float(np.angle(np.vdot(psi0, u @ psi0)))
 
 
-def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j=None):
+def detuning_sweep(cfg: Config):
     """Control-qubit disturbance vs detuning for the coupled drive.
 
     For every detuning two models run: the undriven-control model, whose
@@ -419,20 +415,17 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
     final Bloch vector are read from that one matrix.  The eigenblock
     angles, from CF4 ladders on the 2x2 block schedules, do not depend on
     the control field and are computed once per sweep.  Each point is two
-    4x4 ``eigh`` calls, too little work for the thread pool.
-
-    ``coupling_j`` overrides the configured coupling (0 gives the exact
-    decoupled baseline: control fidelity 1 up to integrator tolerance).
+    4x4 ``eigh`` calls, too little work for the thread pool.  A
+    ``[sweep]`` coupling of 0 gives the exact decoupled baseline: control
+    fidelity 1 up to integrator tolerance.
     """
     sw = cfg.sweep
-    prop = prop or cfg.propagator
-    j = sw.coupling_j if coupling_j is None else float(coupling_j)
-    base = NmrParams(omega0=sw.omega0, omega1=sw.omega1_target, omega=sw.omega, j=j)
+    base = NmrParams(omega0=sw.omega0, omega1=sw.omega1_target, omega=sw.omega, j=sw.coupling_j)
     pairs = {d: cyclic_pair_nmr(replace(base, delta=d)) for d in (0, 1)}
     tau = base.tau
     detunings = sw.detuning_grid.values()
     blocks = nmr_two_qubit(base, sw.omega1_target)
-    angles = {d: _block_angle(blocks, pairs[d], d, prop) for d in (0, 1)}
+    angles = {d: _block_angle(blocks, pairs[d], d, cfg.propagator) for d in (0, 1)}
 
     def point(det):
         w1c = sw.omega1_target + det
@@ -464,10 +457,10 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
         "code_version": __version__,
         "omega0": sw.omega0,
         "omega1_target": sw.omega1_target,
-        "coupling_j": j,
+        "coupling_j": sw.coupling_j,
         "omega": sw.omega,
         "tau": tau,
-        **_numerics_meta(prop),
+        **_numerics_meta(cfg),
     }
     columns = [
         ("detuning", detunings),
@@ -480,8 +473,8 @@ def detuning_sweep(cfg: Config, prop: PropagatorConfig | None = None, coupling_j
     return params, columns
 
 
-def run_sweep(cfg: Config, out_dir, fmt="csv", prop=None):
-    params, columns = detuning_sweep(cfg, prop)
+def run_sweep(cfg: Config, out_dir, fmt="csv"):
+    params, columns = detuning_sweep(cfg)
     return _write(out_dir, "sweep", fmt, params, columns)
 
 
@@ -545,7 +538,7 @@ def _gate_inputs(doc):
                 j=_spec_number(doc, "j", 0.0),
                 delta=delta,
             )
-            return _finite_field(nmr_conditional_schedule(p)), cyclic_pair_nmr(p), reversal
+            return _finite_field(nmr_schedule(p)), cyclic_pair_nmr(p), reversal
         if platform == "josephson":
             if doc.get("chi0") is not None:
                 chi0 = _spec_number(doc, "chi0")
@@ -569,8 +562,8 @@ def _gate_inputs(doc):
             # overflow checks first, on a silent build: their error stands alone
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                _finite_field(josephson_conditional_schedule(p))
-            return josephson_conditional_schedule(p), cyclic_pair_josephson(p), reversal
+                _finite_field(josephson_schedule(p))
+            return josephson_schedule(p), cyclic_pair_josephson(p), reversal
     except ValueError as exc:
         raise ConfigError(f"gate spec: {exc}") from exc
     except OverflowError as exc:
@@ -578,14 +571,14 @@ def _gate_inputs(doc):
     raise ConfigError(f"gate spec: platform must be 'nmr' or 'josephson', got {platform!r}")
 
 
-def run_gate(cfg: Config, spec_path, out_dir, fmt="json", prop=None):
+def run_gate(cfg: Config, spec_path, out_dir):
     """Synthesize a double-loop gate from a JSON parameter file.
 
     The file names the platform and its drive parameters, plus an optional
     "reversal" rule for the second loop (default: the sign-flipped retraced
-    loop).  Output is a gate report JSON regardless of --format.
+    loop).  Both loops run at ``cfg.propagator``.  The output is always a
+    gate report JSON, ``gate_report.json`` in ``out_dir``.
     """
-    prop = prop or cfg.propagator
     spec_path = Path(spec_path)
     if not spec_path.is_file():
         raise ConfigError(f"gate spec file not found: {spec_path}")
@@ -596,7 +589,7 @@ def run_gate(cfg: Config, spec_path, out_dir, fmt="json", prop=None):
     if not isinstance(doc, dict):
         raise ConfigError("gate spec must be a JSON object")
     s, pair, reversal = _gate_inputs(doc)
-    report = synthesize_double_loop(s, pair, prop, reversal)
+    report = synthesize_double_loop(s, pair, cfg.propagator, reversal)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "gate_report.json"
@@ -604,11 +597,11 @@ def run_gate(cfg: Config, spec_path, out_dir, fmt="json", prop=None):
     return path, report
 
 
-def run_verify(cfg: Config, out_dir, fmt="csv", prop=None):
+def run_verify(cfg: Config, out_dir, fmt="csv"):
     """Run the full verification suite and write its report."""
     from . import verify  # lazy: verify imports this module at top level
 
-    report = verify.run_all(cfg, prop)
+    report = verify.run_all(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "json":

@@ -5,10 +5,11 @@ over one loop period tau.  Single-qubit dynamics follow
 H(t) = -(1/2) B(t) . sigma.  Builders are provided for
 
 * a circularly rotating transverse field with a static z component
-  (the NMR-style drive), including the conditional variant whose z
-  component is shifted by the coupling to a spectator qubit, and
+  (the NMR-style drive), whose z component the coupling to a spectator
+  qubit shifts, and
 * a flux-plus-offset-charge driven Josephson charge qubit whose designed
-  drive keeps the effective-field cone angle constant over a loop.
+  drive keeps the effective-field cone angle constant over a loop, plus
+  the z shift of a coupled control qubit.
 
 A schedule can be rotated about the y axis, sign-flipped and retraced.
 Every schedule spans exactly one period: a protocol of several loops is
@@ -29,9 +30,7 @@ __all__ = [
     "JosephsonParams",
     "TwoQubitModel",
     "nmr_schedule",
-    "nmr_conditional_schedule",
     "josephson_schedule",
-    "josephson_conditional_schedule",
     "josephson_ej",
     "josephson_flux_phase",
     "josephson_offset_charge",
@@ -157,7 +156,10 @@ def nmr_schedule(p: NmrParams) -> FieldSchedule:
     """Rotating transverse field with a static z component.
 
     B(t) = (omega0 cos wt, omega0 sin wt, z) with z = p.z_effective, so the
-    same builder covers the bare drive (j = 0) and the conditional drive.
+    same builder covers the bare drive (j = 0) and the drive seen by the
+    target when the control sits in |delta>: the exact eigenblock
+    restriction of the coupled two-qubit Hamiltonian, where the zz coupling
+    turns into the z-field shift (2*delta - 1) * j and nothing else changes.
     """
     z = p.z_effective
     omega0, omega = p.omega0, p.omega
@@ -175,18 +177,6 @@ def nmr_schedule(p: NmrParams) -> FieldSchedule:
     tau = p.tau
     label = f"nmr(omega0={p.omega0:g}, z={z:g}, omega={p.omega:g})"
     return FieldSchedule(sample=sample, period=tau, label=label)
-
-
-def nmr_conditional_schedule(p: NmrParams, delta=None) -> FieldSchedule:
-    """Drive seen by the target qubit when the control sits in |delta>.
-
-    This is the exact eigenblock restriction of the coupled two-qubit
-    Hamiltonian: the zz coupling turns into the z-field shift
-    (2*delta - 1) * j, nothing else changes.
-    """
-    if delta is not None:
-        p = replace(p, delta=int(delta))
-    return nmr_schedule(p)
 
 
 def josephson_ej(p: JosephsonParams, t):
@@ -234,9 +224,12 @@ def josephson_offset_charge(p: JosephsonParams, t):
 def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
     """Designed constant-cone drive of the charge qubit.
 
-    B(t) = (E_J(t) cos wt, -E_J(t) sin wt, E_J(t) cot chi0 + omega), which
-    satisfies (B_z - omega) = E_J cot chi0 exactly, so the cone angle
-    arctan(E_J / (B_z - omega)) equals chi0 for all t.
+    B(t) = (E_J(t) cos wt, -E_J(t) sin wt, E_J(t) cot chi0 + omega + d),
+    with the control-conditioned z shift d = e_i (nxc - delta).  Without
+    the shift (d = 0) it satisfies (B_z - omega) = E_J cot chi0 exactly,
+    so the cone angle arctan(E_J / (B_z - omega)) equals chi0 for all t;
+    a nonzero shift breaks the constant cone, and the label then ends in
+    `` + z_shift(d)``.
     """
     if p.e_plus >= 0.5 * p.e_ch:  # e_plus is the largest E_J
         warnings.warn(
@@ -246,6 +239,7 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
         )
     cot0 = np.cos(p.chi0) / np.sin(p.chi0)
     omega = p.omega
+    shift = p.e_i * (p.nxc - p.delta)
 
     def sample(t):
         t = np.asarray(t, dtype=float)
@@ -258,28 +252,15 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
         np.negative(np.multiply(ej, s, out=y), out=y)
         np.multiply(ej, cot0, out=z)
         z += omega
+        if shift != 0.0:
+            z += shift
         return out
 
     tau = p.tau
     label = f"josephson(e1={p.e1:g}, e2={p.e2:g}, chi0={p.chi0:g}, omega={p.omega:g})"
+    if shift != 0.0:
+        label += f" + z_shift({shift:g})"
     return FieldSchedule(sample=sample, period=tau, label=label)
-
-
-def josephson_conditional_schedule(p: JosephsonParams, delta=None) -> FieldSchedule:
-    """Charge-qubit drive with the control-conditioned z shift e_i*(nxc - delta)."""
-    if delta is not None:
-        p = replace(p, delta=int(delta))
-    base = josephson_schedule(p)
-    shift = p.e_i * (p.nxc - p.delta)
-    if shift == 0.0:
-        return base
-    offset = np.array([0.0, 0.0, shift])
-
-    def sample(t):
-        return base.sample(t) + offset
-
-    label = base.label + f" + z_shift({shift:g})"
-    return FieldSchedule(sample=sample, period=base.period, label=label)
 
 
 def rotation_about_y(angle):

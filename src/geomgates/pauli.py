@@ -16,7 +16,6 @@ __all__ = [
     "SIGMA_Z",
     "PAULI",
     "ID2",
-    "ID4",
     "KET0",
     "KET1",
     "NORM_ATOL",
@@ -41,7 +40,6 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 

@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evolve, pauli
-from .fields import (
-    FieldSchedule,
-    JosephsonParams,
-    NmrParams,
-    josephson_conditional_schedule,
-)
+from .fields import FieldSchedule, JosephsonParams, NmrParams, josephson_schedule
 
 __all__ = [
     "CyclicPair",
@@ -49,21 +44,24 @@ __all__ = [
 # taken from the nearest non-polar sample.
 _POLE_EPS = 1e-7
 
+# The dynamical-phase quadrature's rounding floor, relative to the phase:
+# slow loops accumulate hundreds of radians, and there no absolute bound
+# tied to the tolerance could be met.
+_QUAD_RTOL = 1e-11
+
 
 @dataclass(frozen=True)
 class CyclicPair:
     """Orthonormal pair of loop eigenstates at cone angle chi.
 
     psi_plus has Bloch vector (sin chi, 0, cos chi) at t = 0; psi_minus is
-    its antipode.  ``verified`` records whether the drive was checked to
-    hold the cone angle (relevant for the designed charge-qubit drive).
+    its antipode.
     """
 
     chi: float
     psi_plus: np.ndarray
     psi_minus: np.ndarray
     n0: np.ndarray
-    verified: bool = True
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ class SolidAngleResult:
     theta_max: float
 
 
-def cyclic_pair(chi, verified=True) -> CyclicPair:
+def cyclic_pair(chi) -> CyclicPair:
     """Pair of cone states at polar angle chi (azimuth zero)."""
     c, s = np.cos(0.5 * chi), np.sin(0.5 * chi)
     return CyclicPair(
@@ -103,7 +101,6 @@ def cyclic_pair(chi, verified=True) -> CyclicPair:
         psi_plus=np.array([c, s], dtype=complex),
         psi_minus=np.array([-s, c], dtype=complex),
         n0=np.array([np.sin(chi), 0.0, np.cos(chi)]),
-        verified=verified,
     )
 
 
@@ -119,30 +116,30 @@ def cyclic_pair_nmr(p: NmrParams) -> CyclicPair:
     return cyclic_pair(float(np.arctan2(p.omega0, denom)))
 
 
-def verify_cone(s: FieldSchedule, chi0, omega, samples=2048):
-    """Largest deviation of arctan(E_perp / (B_z - omega)) from chi0."""
-    ts = np.linspace(0.0, s.period, samples, endpoint=False)
+def verify_cone(s: FieldSchedule, chi0, omega):
+    """Largest deviation of arctan(E_perp / (B_z - omega)) from chi0,
+    over 2048 uniform samples of one loop."""
+    ts = np.linspace(0.0, s.period, 2048, endpoint=False)
     b = np.asarray(s.sample(ts), dtype=float)
     eperp = np.hypot(b[:, 0], b[:, 1])
     chi = np.arctan2(eperp, b[:, 2] - omega)
     return float(np.max(np.abs(chi - chi0)))
 
 
-def cyclic_pair_josephson(p: JosephsonParams, samples=2048, atol=1e-9) -> CyclicPair:
+def cyclic_pair_josephson(p: JosephsonParams) -> CyclicPair:
     """Cyclic pair of the designed charge-qubit drive: chi = chi0.
 
-    Verifies on a dense grid that the drive actually holds the cone angle;
-    raises ValueError if the worst deviation exceeds ``atol`` (e.g. when a
-    conditional z shift is active, which breaks the constant-cone design).
+    Verifies with ``verify_cone`` that the drive actually holds the cone
+    angle; raises ValueError if the worst deviation exceeds 1e-9 (e.g. when
+    a conditional z shift is active, which breaks the constant-cone design).
     """
-    s = josephson_conditional_schedule(p)
-    dev = verify_cone(s, p.chi0, p.omega, samples)
-    if dev > atol:
+    dev = verify_cone(josephson_schedule(p), p.chi0, p.omega)
+    if dev > 1e-9:
         raise ValueError(
             f"drive inconsistent with cone angle chi0={p.chi0:g}: "
-            f"max deviation {dev:.3e} exceeds {atol:.1e}"
+            f"max deviation {dev:.3e} exceeds 1.0e-09"
         )
-    return cyclic_pair(p.chi0, verified=True)
+    return cyclic_pair(p.chi0)
 
 
 def verify_cyclic(s: FieldSchedule, pair: CyclicPair, cfg=None):
@@ -195,8 +192,6 @@ def decompose(
     psi0,
     cfg: evolve.PropagatorConfig | None = None,
     cyclicity_threshold=1e-6,
-    quad_tol=1e-9,
-    quad_rtol=1e-11,
     with_unitary=False,
 ) -> PhaseDecomposition | tuple[PhaseDecomposition, ...]:
     """Split the phase acquired over one schedule period.
@@ -206,11 +201,11 @@ def decompose(
     prefix products once for all k states.  Propagation and the
     dynamical-phase quadrature are refined together (step doubling) until
     every final state moves by at most cfg.tolerance and every dynamical
-    integral by at most ``quad_tol + quad_rtol * |value|`` radians.  The
-    relative term matters for slow loops whose dynamical phase accumulates
-    hundreds of radians: there the quadrature's rounding floor sits above
-    any fixed absolute tolerance, so a pure absolute criterion could never
-    be met.
+    integral by at most ``10 * cfg.tolerance + 1e-11 * |value|`` radians,
+    so ``--tol`` sets both bounds.  The relative term is the quadrature's
+    rounding floor; it matters for slow loops whose dynamical phase
+    accumulates hundreds of radians, where it sits above any bound tied to
+    the tolerance alone.
 
     With ``with_unitary=True`` the same ladder also yields the loop's
     one-period propagator, read from the first state's chain: the SU(2)
@@ -250,7 +245,7 @@ def decompose(
     def criteria(prev, cur):
         found = [evolve._state_change(prev[0], cur[0], cfg)]
         for d_prev, d_cur in zip(prev[1], cur[1]):
-            bound = quad_tol + quad_rtol * abs(d_cur)
+            bound = 10.0 * cfg.tolerance + _QUAD_RTOL * abs(d_cur)
             found.append(("dynamical-phase", abs(d_cur - d_prev), bound, " rad"))
         if with_unitary:
             found.append(evolve._state_change(prev[2], cur[2], cfg, "matrix"))
@@ -323,18 +318,16 @@ def solid_angle(path, closed_atol=1e-6) -> SolidAngleResult:
     return SolidAngleResult(gamma, winding, float(theta.min()), float(theta.max()))
 
 
-def berry_adiabatic(s: FieldSchedule, samples=4096):
+def berry_adiabatic(s: FieldSchedule):
     """Adiabatic-limit phase: solid angle traced by the field direction.
 
-    Applies the same line integral to Bhat(t) over one period.  This is
-    the phase a state pinned to +Bhat would pick up per loop; the
-    anti-aligned member's value is obtained by passing the negated
-    schedule.  Raises ValueError if the field magnitude vanishes anywhere
-    on the loop.
+    Applies the same line integral to Bhat(t) on 4096 uniform steps of one
+    period.  This is the phase a state pinned to +Bhat would pick up per
+    loop; the anti-aligned member's value is obtained by passing the
+    negated schedule.  Raises ValueError if the field magnitude vanishes
+    anywhere on the loop.
     """
-    m = int(samples)
-    m = m if m % 2 == 0 else m + 1
-    ts = np.linspace(0.0, s.period, m + 1)
+    ts = np.linspace(0.0, s.period, 4097)
     b = np.asarray(s.sample(ts), dtype=float)
     nb = np.linalg.norm(b, axis=-1)
     if float(nb.min()) <= 1e-12 * float(nb.max()):

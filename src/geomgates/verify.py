@@ -1,7 +1,8 @@
 """Verification suite: every cross-check the package asserts about itself.
 
-Each ``check_*`` function measures one family of invariants and returns
-``CheckResult`` rows; ``run_all`` aggregates them into a
+Each ``check_*`` function takes the configuration alone, so its numerics
+come from ``cfg.propagator``; it measures one family of invariants and
+returns ``CheckResult`` rows.  ``run_all`` aggregates them into a
 ``VerificationReport``.  The acceptance tests call the same functions, so
 the CLI ``verify`` subcommand and the test suite cannot drift apart.
 
@@ -18,13 +19,7 @@ import numpy as np
 from . import experiments, gates, pauli, phases
 from .config import Config
 from .evolve import final_state, rotating_frame_oracle, total_unitary, two_qubit_unitary
-from .fields import (
-    NmrParams,
-    nmr_conditional_schedule,
-    nmr_schedule,
-    nmr_two_qubit,
-    rotate_schedule,
-)
+from .fields import NmrParams, nmr_schedule, nmr_two_qubit, rotate_schedule
 from .pauli import angle_dist, state_of_angles, wrap_pi
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "check_oracle_equivalence",
     "check_cyclicity",
     "check_loop_phase_law",
-    "check_solid_angle_consistency",
     "check_antisymmetry",
     "check_conditional_flatness",
     "check_charge_figure",
@@ -107,9 +101,9 @@ class VerificationReport:
 # closed-form oracle vs stepper
 # ---------------------------------------------------------------------------
 
-def check_oracle_equivalence(cfg: Config, prop=None):
+def check_oracle_equivalence(cfg: Config):
     """Stepper vs rotating-frame closed form over a two-decade drive grid."""
-    prop = prop or cfg.propagator
+    prop = cfg.propagator
     grid = cfg.verify.oracle_grid.values()
     psi0 = state_of_angles(1.0, 0.5)
     worst_infid = 0.0
@@ -154,10 +148,10 @@ def _josephson_reference(cfg: Config, ratio=10.0):
     return experiments._josephson_params(f, f.cos_chi0, 2.0 * np.pi / tau)
 
 
-def check_cyclicity(cfg: Config, prop=None):
+def check_cyclicity(cfg: Config):
     """Both platforms' cyclic pairs really return after one loop; a wrong
     cone angle visibly does not (sensitivity control)."""
-    prop = prop or cfg.propagator
+    prop = cfg.propagator
     out = []
 
     p = _nmr_reference(cfg)
@@ -206,73 +200,66 @@ def _pair_geometric(s, pair, prop):
     return d_plus.geometric, d_minus.geometric
 
 
-def check_loop_phase_law(cfg: Config, prop=None):
-    """Measured one-loop geometric phase vs pi (1 - cos chi) across cones.
+def check_loop_phase_law(cfg: Config):
+    """Measured one-loop geometric phase vs pi (1 - cos chi) across cones,
+    then the Bloch-path solid angle vs total minus dynamical.
 
     Counterclockwise rotating drive: axis-aligned member carries the
     negative loop phase.  The designed charge drive runs clockwise, so
-    there the aligned member carries the positive loop phase.
+    there the aligned member carries the positive loop phase.  The
+    solid-angle row reads the psi_plus Bloch paths of every third cone's
+    two ladders; a path that does not close fails the row (measured inf).
     """
-    prop = prop or cfg.propagator
+    prop = cfg.propagator
     chis = cfg.verify.chi_grid.values()
+    sampled = []  # (schedule label, psi_plus decomposition) of chis[::3]
 
     worst = 0.0
-    for chi in chis:
+    for i, chi in enumerate(chis):
         p = _nmr_cone(cfg, chi)
         s = nmr_schedule(p)
         pair = phases.cyclic_pair_nmr(p)
         law = phases.loop_phase(chi)
-        g_plus, g_minus = _pair_geometric(s, pair, prop)
-        worst = max(worst, angle_dist(g_plus, -law), angle_dist(g_minus, law))
+        d_plus, d_minus = phases.decompose(s, [pair.psi_plus, pair.psi_minus], prop)
+        worst = max(worst, angle_dist(d_plus.geometric, -law), angle_dist(d_minus.geometric, law))
+        if i % 3 == 0:
+            sampled.append((s.label, d_plus))
     out = [_le("loop_phase_law_rotating_drive", worst, 1e-7, f"{len(chis)} cone angles")]
 
     f = cfg.fig2
     worst = 0.0
-    for chi in chis:
+    for i, chi in enumerate(chis):
         jp = experiments._josephson_params(f, float(np.cos(chi)), cfg.verify.josephson_omega)
         js = experiments.josephson_schedule(jp)
         jpair = phases.cyclic_pair_josephson(jp)
-        g_plus = phases.decompose(js, jpair.psi_plus, prop).geometric
-        worst = max(worst, angle_dist(g_plus, phases.loop_phase(chi)))
+        d_plus = phases.decompose(js, jpair.psi_plus, prop)
+        worst = max(worst, angle_dist(d_plus.geometric, phases.loop_phase(chi)))
+        if i % 3 == 0:
+            sampled.append((js.label, d_plus))
     out.append(_le("loop_phase_law_charge_drive", worst, 1e-7, f"{len(chis)} cone angles"))
-    return out
 
-
-# ---------------------------------------------------------------------------
-# solid angle vs total-minus-dynamical
-# ---------------------------------------------------------------------------
-
-def check_solid_angle_consistency(cfg: Config, prop=None):
-    """The Bloch-path line integral agrees with total minus dynamical,
-    both read from one ladder per loop."""
-    prop = prop or cfg.propagator
-    chis = cfg.verify.chi_grid.values()[::3]
     worst = 0.0
-    runs = 0
-    for chi in chis:
-        p = _nmr_cone(cfg, chi)
-        s = nmr_schedule(p)
-        pair = phases.cyclic_pair_nmr(p)
-        jp = experiments._josephson_params(
-            cfg.fig2, float(np.cos(chi)), cfg.verify.josephson_omega
-        )
-        js = experiments.josephson_schedule(jp)
-        jpair = phases.cyclic_pair_josephson(jp)
-        for sched, psi in ((s, pair.psi_plus), (js, jpair.psi_plus)):
-            d = phases.decompose(sched, psi, prop)
-            sa = phases.solid_angle(d.bloch)
-            worst = max(worst, angle_dist(wrap_pi(sa.gamma), d.geometric))
-            runs += 1
-    return [_le("solid_angle_vs_decomposition", worst, 1e-6, f"{runs} cyclic runs")]
+    open_paths = []
+    for label, d in sampled:
+        try:
+            worst = max(worst, angle_dist(wrap_pi(phases.solid_angle(d.bloch).gamma), d.geometric))
+        except ValueError:
+            open_paths.append(label)
+    detail = f"{len(sampled)} cyclic runs"
+    if open_paths:
+        worst = math.inf
+        detail += f"; Bloch path not closed: {open_paths[0]}"
+    out.append(_le("solid_angle_vs_decomposition", worst, 1e-6, detail))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # antisymmetry
 # ---------------------------------------------------------------------------
 
-def check_antisymmetry(cfg: Config, prop=None):
+def check_antisymmetry(cfg: Config):
     """Antipodal pair members acquire opposite geometric phases."""
-    prop = prop or cfg.propagator
+    prop = cfg.propagator
     p = _nmr_reference(cfg)
     pair = phases.cyclic_pair_nmr(p)
     gp, gm = _pair_geometric(nmr_schedule(p), pair, prop)
@@ -289,11 +276,11 @@ def check_antisymmetry(cfg: Config, prop=None):
 # conditional-phase flatness (resonance-locked drive)
 # ---------------------------------------------------------------------------
 
-def check_conditional_flatness(cfg: Config, prop=None):
+def check_conditional_flatness(cfg: Config):
     """With the z field locked to the drive (variant b), both conditional
     phases are time-independent: pi for control 0 and 3 pi / 4 for control 1
     per loop; doubled loops give (2 pi, 3 pi / 2)."""
-    _, columns = experiments.fig1_sweep(cfg, "b", prop)
+    _, columns = experiments.fig1_sweep(cfg, "b")
     cols = dict(columns)
     g0 = np.asarray(cols["gamma0_exact"])
     g1 = np.asarray(cols["gamma1_exact"])
@@ -392,10 +379,9 @@ def charge_figure_checks(main, inset):
     return checks
 
 
-def check_charge_figure(cfg: Config, prop=None):
-    prop = prop or cfg.propagator
-    main = experiments.fig2c_sweep(cfg, cfg.fig2.cos_chi0, prop)
-    inset = experiments.fig2c_sweep(cfg, cfg.fig2.cos_chi0_inset, prop)
+def check_charge_figure(cfg: Config):
+    main = experiments.fig2c_sweep(cfg, cfg.fig2.cos_chi0)
+    inset = experiments.fig2c_sweep(cfg, cfg.fig2.cos_chi0_inset)
     return charge_figure_checks(main, inset)
 
 
@@ -403,13 +389,12 @@ def check_charge_figure(cfg: Config, prop=None):
 # echo protocol: dynamical cancellation, composite distances
 # ---------------------------------------------------------------------------
 
-def check_echo_cancellation(cfg: Config, prop=None):
+def check_echo_cancellation(cfg: Config):
     """Two loops with the sign-flipped retraced second period: dynamical
     phases cancel (asserted); the composite's distance to the identity and
     to the doubled-cone target are reported, quantifying that the literal
     echo rule inverts the whole first loop rather than doubling its
     geometric phase."""
-    prop = prop or cfg.propagator
     out = []
     f = cfg.fig1
     omega = f.omega0 / 4.0
@@ -417,14 +402,14 @@ def check_echo_cancellation(cfg: Config, prop=None):
         omega0=f.omega0, omega1=f.coupling_j - omega, omega=omega, j=f.coupling_j, delta=0
     )
     runs = [
-        ("rotating_drive", nmr_conditional_schedule(p), phases.cyclic_pair_nmr(p)),
+        ("rotating_drive", nmr_schedule(p), phases.cyclic_pair_nmr(p)),
     ]
     jp = _josephson_reference(cfg)
     runs.append(
         ("charge_drive", experiments.josephson_schedule(jp), phases.cyclic_pair_josephson(jp))
     )
     for tag, s, pair in runs:
-        rep = gates.synthesize_double_loop(s, pair, prop)
+        rep = gates.synthesize_double_loop(s, pair, cfg.propagator)
         out.append(_le(f"echo_dynamical_cancellation_{tag}", abs(rep.dynamical_sum), 1e-6))
         out.append(_le(f"echo_composite_cyclic_{tag}", rep.composite_defect, 1e-6))
         out.append(
@@ -448,9 +433,10 @@ def check_echo_cancellation(cfg: Config, prop=None):
 # gate algebra
 # ---------------------------------------------------------------------------
 
-def check_gate_algebra(cfg: Config, prop=None, seed=20240817, pairs=10_000, specs=1_000):
+def check_gate_algebra(cfg: Config):
     """Matrix-level gate laws on dense parameter grids and random draws."""
-    del cfg, prop  # pure matrix algebra; numerics-free
+    del cfg  # pure matrix algebra; numerics-free
+    pairs, specs = 10_000, 1_000
     chis = np.linspace(0.0, np.pi, 50)
     gammas = np.linspace(-np.pi, np.pi, 50)
     worst_unit = 0.0
@@ -477,7 +463,7 @@ def check_gate_algebra(cfg: Config, prop=None, seed=20240817, pairs=10_000, spec
         direct = float(np.max(np.abs(ua @ ub - ub @ ua))) > 1e-9
         return int(direct != gates.noncommutable(a, b))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240817)
     disagree = 0
     for _ in range(pairs):
         a = gates.GateSpec(*rng.uniform(-np.pi, np.pi, 2))
@@ -529,14 +515,13 @@ def check_gate_algebra(cfg: Config, prop=None, seed=20240817, pairs=10_000, spec
 # two-qubit block exactness
 # ---------------------------------------------------------------------------
 
-def check_block_exactness(cfg: Config, prop=None):
+def check_block_exactness(cfg: Config):
     """4x4 conditional totals equal the 2x2 eigenblock predictions.
 
     An independent cross-check: the 4x4 side is the closed-form propagator
     (one ``eigh`` of the constant rotating-frame Hamiltonian), the block
     side CF4 ladders on each eigenblock's schedule.
     """
-    prop = prop or cfg.propagator
     f = cfg.fig1
     worst = 0.0
     runs = 0
@@ -551,7 +536,7 @@ def check_block_exactness(cfg: Config, prop=None):
             u = two_qubit_unitary(model)
             for delta in (0, 1):
                 pair = phases.cyclic_pair_nmr(replace(p, delta=delta))
-                angle = experiments._block_angle(model, pair, delta, prop)
+                angle = experiments._block_angle(model, pair, delta, cfg.propagator)
                 expected = experiments._block_total(model, angle, delta)
                 dense = experiments._dense_total(u, pair, delta)
                 worst = max(worst, angle_dist(dense, expected))
@@ -570,10 +555,10 @@ def check_block_exactness(cfg: Config, prop=None):
 # rotation invariance
 # ---------------------------------------------------------------------------
 
-def check_rotation_invariance(cfg: Config, prop=None):
+def check_rotation_invariance(cfg: Config):
     """Rigidly rotating drive and initial state preserves the geometric
     phase while shifting the cone angle by exactly the rotation angle."""
-    prop = prop or cfg.propagator
+    prop = cfg.propagator
     p = _nmr_reference(cfg)
     s = nmr_schedule(p)
     pair = phases.cyclic_pair_nmr(p)
@@ -604,7 +589,6 @@ ALL_CHECKS = (
     check_oracle_equivalence,
     check_cyclicity,
     check_loop_phase_law,
-    check_solid_angle_consistency,
     check_antisymmetry,
     check_conditional_flatness,
     check_charge_figure,
@@ -615,9 +599,9 @@ ALL_CHECKS = (
 )
 
 
-def run_all(cfg: Config, prop=None) -> VerificationReport:
+def run_all(cfg: Config) -> VerificationReport:
     """Run every check family against one configuration."""
     checks = []
     for fn in ALL_CHECKS:
-        checks.extend(fn(cfg, prop))
+        checks.extend(fn(cfg))
     return VerificationReport(tuple(checks))

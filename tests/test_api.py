@@ -2,11 +2,14 @@
 
 Every name a module exports in ``__all__`` must exist, and every name a
 module imports must be used again in that module, so a deletion cannot
-leave a stale export or an orphaned import behind.
+leave a stale export or an orphaned import behind.  Every verification
+check takes the configuration alone, so its numerics come from
+``Config.propagator`` and nowhere else.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import geomgates
+from geomgates import verify
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(geomgates.__path__))
 
@@ -38,3 +42,8 @@ def test_imported_names_are_used(name):
         n for n in imported if len(re.findall(rf"\b{re.escape(n)}\b", source)) < 2
     )
     assert not unused, f"geomgates.{name} imports unused names: {unused}"
+
+
+@pytest.mark.parametrize("check", verify.ALL_CHECKS, ids=lambda fn: fn.__name__)
+def test_verify_checks_take_only_the_config(check):
+    assert list(inspect.signature(check).parameters) == ["cfg"]

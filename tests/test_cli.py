@@ -67,6 +67,53 @@ def test_steps_and_tol_overrides_land_in_header(tmp_path, fast_ini):
     assert "# tolerance = 1e-08" in text
 
 
+def _numerics_ini(path, grids=(), **numerics):
+    """Packaged config with the given [numerics] and (section, key, value)
+    grid keys replaced, written to ``path``."""
+    cp = configparser.ConfigParser()
+    cp.read(default_config_path())
+    for key, value in numerics.items():
+        cp.set("numerics", key, value)
+    for section, key, value in grids:
+        cp.set(section, key, value)
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return path
+
+
+def test_coarse_numerics_converge_on_packaged_physics(tmp_path):
+    # the dynamical-phase bound follows the tolerance (10 * 1e-3 rad); a
+    # fixed 1e-9 rad bound stopped this ladder after 6 rungs with exit 2
+    ini = _numerics_ini(
+        tmp_path / "coarse.ini", steps_per_period="16", max_refinements="6", tolerance="1e-3"
+    )
+    assert cli.main(["fig1a", "--config", str(ini), "--out", str(tmp_path)]) == 0
+
+
+def test_verify_fails_an_open_bloch_path_without_traceback(tmp_path, capsys):
+    # at tolerance 1 a charge loop's ladder stops before its Bloch path
+    # closes; the solid-angle row fails and names that path
+    ini = _numerics_ini(
+        tmp_path / "loose.ini",
+        grids=[
+            ("fig1", "tau_points", "3"),
+            ("fig2", "tau_points", "3"),
+            ("fig2", "field_samples", "64"),
+            ("sweep", "detuning_points", "2"),
+            ("verify", "chi_points", "3"),
+            ("verify", "oracle_points", "2"),
+        ],
+        steps_per_period="16",
+        max_refinements="2",
+        tolerance="1.0",
+    )
+    assert cli.main(["verify", "--config", str(ini), "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    row = next(line for line in out.splitlines() if "solid_angle_vs_decomposition" in line)
+    assert row.startswith("FAIL solid_angle_vs_decomposition: measured = inf")
+    assert "Bloch path not closed: josephson(" in row
+
+
 def test_fig2c_reports_and_exits_zero(tmp_path, fast_ini, capsys):
     out = tmp_path / "out"
     rc = cli.main(["fig2c", "--config", str(fast_ini), "--out", str(out)])

@@ -10,7 +10,8 @@ from geomgates.config import ConfigError, GridSpec, load_config
 
 @pytest.fixture(scope="module")
 def mini():
-    """Default parameters with grids cut down for unit-test runtimes."""
+    """Default parameters, packaged numerics included, with grids cut down
+    for unit-test runtimes."""
     cfg = load_config()
     return replace(
         cfg,
@@ -24,8 +25,8 @@ def mini():
     )
 
 
-def test_fig1b_mini_grid_is_flat(mini, accurate):
-    params, columns = experiments.fig1_sweep(mini, "b", accurate)
+def test_fig1b_mini_grid_is_flat(mini):
+    params, columns = experiments.fig1_sweep(mini, "b")
     cols = dict(columns)
     assert params["experiment"] == "fig1b"
     for g in cols["gamma0_exact"]:
@@ -38,12 +39,12 @@ def test_fig1b_mini_grid_is_flat(mini, accurate):
     assert np.allclose(cols["chi1"], np.arccos(0.25), atol=1e-12)
 
 
-def test_fig1a_exact_approaches_adiabatic_at_long_times(accurate):
+def test_fig1a_exact_approaches_adiabatic_at_long_times():
     cfg = load_config()
     slow = replace(
         cfg, fig1=replace(cfg.fig1, tau_grid=GridSpec(2.0, 128.0, 3, scale="log"))
     )
-    _, columns = experiments.fig1_sweep(slow, "a", accurate)
+    _, columns = experiments.fig1_sweep(slow, "a")
     cols = dict(columns)
     for delta in (0, 1):
         gaps = [
@@ -97,15 +98,16 @@ def test_field_trace_invariants(mini):
     assert np.max(np.abs(cols["Bz"] - params["omega"] - ej / np.tan(chi0))) < 1e-9
 
 
-def test_detuning_sweep_decoupled_control_keeps_fidelity(mini, accurate):
-    _, columns = experiments.detuning_sweep(mini, accurate, coupling_j=0.0)
+def test_detuning_sweep_decoupled_control_keeps_fidelity(mini):
+    decoupled = replace(mini, sweep=replace(mini.sweep, coupling_j=0.0))
+    _, columns = experiments.detuning_sweep(decoupled)
     cols = dict(columns)
     assert np.min(cols["fidelity_control"]) > 1.0 - 1e-9
     assert np.max(np.abs(cols["block_phase_err0"])) < 1e-8
 
 
-def test_detuning_sweep_fidelity_improves_with_detuning(mini, accurate):
-    _, columns = experiments.detuning_sweep(mini, accurate)
+def test_detuning_sweep_fidelity_improves_with_detuning(mini):
+    _, columns = experiments.detuning_sweep(mini)
     cols = dict(columns)
     fid = cols["fidelity_control"]
     assert fid[-1] > fid[0]
@@ -113,9 +115,9 @@ def test_detuning_sweep_fidelity_improves_with_detuning(mini, accurate):
     assert np.max(np.abs(cols["block_phase_err1"])) < 1e-8
 
 
-def test_run_fig1_writes_deterministic_csv(tmp_path, mini, accurate):
-    a = experiments.run_fig1(mini, "b", tmp_path / "one", prop=accurate)
-    b = experiments.run_fig1(mini, "b", tmp_path / "two", prop=accurate)
+def test_run_fig1_writes_deterministic_csv(tmp_path, mini):
+    a = experiments.run_fig1(mini, "b", tmp_path / "one")
+    b = experiments.run_fig1(mini, "b", tmp_path / "two")
     assert a.name == "fig1b.csv"
     assert a.read_bytes() == b.read_bytes()
     text = a.read_text()
@@ -123,27 +125,27 @@ def test_run_fig1_writes_deterministic_csv(tmp_path, mini, accurate):
     assert "# omega0 = 7.745966692414834" in text
 
 
-def test_run_sweep_writes_deterministic_csv(tmp_path, mini, accurate):
-    # three detunings, so the points run through the thread pool
+def test_run_sweep_writes_deterministic_csv(tmp_path, mini):
+    # three detunings, so the byte comparison covers several rows
     assert len(mini.sweep.detuning_grid.values()) > 1
-    a = experiments.run_sweep(mini, tmp_path / "one", prop=accurate)
-    b = experiments.run_sweep(mini, tmp_path / "two", prop=accurate)
+    a = experiments.run_sweep(mini, tmp_path / "one")
+    b = experiments.run_sweep(mini, tmp_path / "two")
     assert a.name == "sweep.csv"
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().startswith("# experiment = sweep\n")
 
 
-def test_run_fig1_json_format(tmp_path, mini, accurate):
-    path = experiments.run_fig1(mini, "b", tmp_path, fmt="json", prop=accurate)
+def test_run_fig1_json_format(tmp_path, mini):
+    path = experiments.run_fig1(mini, "b", tmp_path, fmt="json")
     doc = json.loads(path.read_text())
     assert doc["params"]["experiment"] == "fig1b"
     assert len(doc["columns"]["tau_over_tau0"]) == 3
 
 
-def test_run_fig2b_and_fig2c_outputs(tmp_path, mini, accurate):
+def test_run_fig2b_and_fig2c_outputs(tmp_path, mini):
     trace = experiments.run_fig2b(mini, tmp_path)
     assert trace.exists()
-    paths, report = experiments.run_fig2c(mini, tmp_path, prop=accurate)
+    paths, report = experiments.run_fig2c(mini, tmp_path)
     names = sorted(p.name for p in paths)
     assert names == ["fig2c.csv", "fig2c_crossover.json", "fig2c_inset.csv"]
     assert report.passed
@@ -173,24 +175,22 @@ def _spec_file(tmp_path, doc):
     return path
 
 
-def test_run_gate_nmr(tmp_path, mini, accurate):
-    path, report = experiments.run_gate(
-        mini, _spec_file(tmp_path, GATE_SPEC_NMR), tmp_path, prop=accurate
-    )
+def test_run_gate_nmr(tmp_path, mini):
+    path, report = experiments.run_gate(mini, _spec_file(tmp_path, GATE_SPEC_NMR), tmp_path)
     assert path.name == "gate_report.json"
     assert report.flags["dynamical_cancelled"]
     assert json.loads(path.read_text())["flags"]["cyclic"] is True
 
 
-def test_run_gate_writes_deterministic_json(tmp_path, mini, accurate):
+def test_run_gate_writes_deterministic_json(tmp_path, mini):
     spec = _spec_file(tmp_path, GATE_SPEC_NMR)
-    a, _ = experiments.run_gate(mini, spec, tmp_path / "one", prop=accurate)
-    b, _ = experiments.run_gate(mini, spec, tmp_path / "two", prop=accurate)
+    a, _ = experiments.run_gate(mini, spec, tmp_path / "one")
+    b, _ = experiments.run_gate(mini, spec, tmp_path / "two")
     assert a.name == "gate_report.json"
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_run_gate_josephson(tmp_path, mini, accurate):
+def test_run_gate_josephson(tmp_path, mini):
     doc = {
         "platform": "josephson",
         "e1": 1.5625,
@@ -199,7 +199,7 @@ def test_run_gate_josephson(tmp_path, mini, accurate):
         "cos_chi0": 0.75,
         "omega": 1.0,
     }
-    _, report = experiments.run_gate(mini, _spec_file(tmp_path, doc), tmp_path, prop=accurate)
+    _, report = experiments.run_gate(mini, _spec_file(tmp_path, doc), tmp_path)
     assert report.flags["dynamical_cancelled"]
     assert abs(report.loop1["geometric"] - np.pi / 4.0) < 1e-8
 

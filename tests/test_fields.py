@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,13 +23,27 @@ def test_nmr_schedule_samples_rotating_field():
 
 
 def test_conditional_schedule_shifts_z_by_coupling():
-    down = fields.nmr_conditional_schedule(P, delta=0)
-    up = fields.nmr_conditional_schedule(P, delta=1)
+    down = fields.nmr_schedule(replace(P, delta=0))
+    up = fields.nmr_schedule(replace(P, delta=1))
     t = np.array([0.3])
     assert abs(down.sample(t)[0, 2] - (0.7 - 0.4)) < 1e-14
     assert abs(up.sample(t)[0, 2] - (0.7 + 0.4)) < 1e-14
     assert abs(P.z_effective - (0.7 + 0.4)) < 1e-15
     assert abs(P.tau - 2.0 * np.pi / 1.3) < 1e-15
+
+
+def test_josephson_schedule_applies_conditional_shift():
+    ts = np.linspace(0.0, JP.tau, 9)
+    base = fields.josephson_schedule(JP)
+    # no shift: the designed constant-cone drive, bit for bit
+    for quiet in (replace(JP, e_i=0.5, nxc=1.0, delta=1), replace(JP, nxc=0.3)):
+        s = fields.josephson_schedule(quiet)
+        assert np.array_equal(s.sample(ts), base.sample(ts)) and s.label == base.label
+    shifted = fields.josephson_schedule(replace(JP, e_i=0.5, nxc=0.2, delta=1))
+    want = base.sample(ts)
+    want[:, 2] += 0.5 * (0.2 - 1.0)
+    assert np.array_equal(shifted.sample(ts), want)
+    assert shifted.label == base.label + " + z_shift(-0.4)"
 
 
 def test_schedule_closes_on_itself():

@@ -192,7 +192,7 @@ def test_double_loop_composite_defect_is_never_negative(accurate):
     # the echo composite is the identity to rounding, so the fidelity can
     # round a last ulp above 1
     p = fields.NmrParams(omega0=7.7, omega1=0.8, omega=0.15, j=1.0, delta=0)
-    s = fields.nmr_conditional_schedule(p)
+    s = fields.nmr_schedule(p)
     rep = gates.synthesize_double_loop(s, phases.cyclic_pair_nmr(p), accurate)
     assert rep.composite_defect >= 0.0
     assert rep.flags["cyclic"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,10 +83,14 @@ def test_decompose_nonconvergence_names_both_criteria():
         steps_per_period=16, tolerance=1e-300, max_refinements=2
     )
     with pytest.raises(evolve.NonConvergenceError) as info:
-        phases.decompose(s, pauli.KET0, cfg, quad_tol=1e-300, quad_rtol=0.0)
+        phases.decompose(s, pauli.KET0, cfg)
     msg = str(info.value)
-    assert "state change" in msg and "bound 1e-300" in msg
-    assert "dynamical-phase change" in msg and "rad (bound 1e-300 rad)" in msg
+    assert "state change" in msg and "bound 1e-300)" in msg
+    # the phase bound is 10 * tolerance plus the quadrature's rounding floor
+    match = re.search(r"dynamical-phase change ([^ ]+) rad \(bound ([^ ]+) rad\)", msg)
+    assert match
+    dyn = phases.decompose(s, pauli.KET0).dynamical
+    assert float(match.group(2)) == pytest.approx(1e-11 * abs(dyn), rel=1e-2)
 
 
 @pytest.mark.parametrize("steps", [16, 4096, 65536])
