@@ -27,7 +27,9 @@ _SUBCOMMANDS = (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
         "--config",
         type=Path,
@@ -57,6 +59,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="override integrator refinement tolerance (also sets the "
         "dynamical-phase bound to 10*X rad)",
     )
+    return p
+
+
+def _table_options() -> argparse.ArgumentParser:
+    """The table format option of the subcommands that write tables."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
         "--format",
         choices=("csv", "json"),
@@ -64,6 +72,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         dest="fmt",
         help="table output format (default csv)",
     )
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,16 +80,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
+    common, table = _common_options(), _table_options()
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in _SUBCOMMANDS:
-        _add_common(sub.add_parser(name, help=help_text))
+        sub.add_parser(name, help=help_text, parents=[common, table])
+    # the gate report is always JSON, so ``gate`` takes no --format
     gate = sub.add_parser(
-        "gate", help="synthesize one echoed double-loop gate from a JSON file"
+        "gate",
+        help="synthesize one echoed double-loop gate from a JSON file",
+        parents=[common],
     )
     gate.add_argument(
         "spec", type=Path, help="JSON file naming the platform and drive parameters"
     )
-    _add_common(gate)
     return parser
 
 

@@ -7,6 +7,13 @@ two Gauss nodes and applies two closed-form Pauli exponentials of fixed
 linear combinations of the samples.  Every step is exactly unitary and
 the global error is fourth order in the step size.
 
+A schedule's field is a function of the drive angle, and every schedule
+spans one drive period, so an n-step rung needs the field at the same
+angles whatever the schedule: 2 pi k / n on the grid and
+2 pi (k + c) / n at the Gauss nodes.  Their cosines and sines form one
+read-only table per step count (``_phase_table``), memoized and shared by
+every ladder and quadrature, so no rung takes a trig function of time.
+
 A single-qubit step is an SU(2) element, so it is built, multiplied and
 chained as 4 reals: its unit quaternion, kept as the complex pair
 (alpha, beta) of the matrix's first row (``pauli._su2_exp``).  Products
@@ -139,29 +146,75 @@ def time_grid(s: FieldSchedule, steps_per_period):
 _NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 _A1, _A2 = 0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0
 
+# Phase tables are kept for step counts up to this, 32 n bytes each (about
+# 2 MB through 32,768 steps), so a ladder that fails to converge retains
+# nothing for its larger rungs.  Tables are read-only and depend on n
+# alone; when pool threads race to build one, ``setdefault`` keeps the
+# first and every caller reads that one.
+_TABLE_MAX_STEPS = 65536
+_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-def _gauss_nodes(ts):
-    """Gauss-node times of every step, shape (2, n), and the step sizes."""
-    dts = np.diff(ts)
-    return np.stack([ts[:-1] + c * dts for c in _NODES]), dts
+
+def _cos_sin(k, c, n):
+    """Read-only (2, len(k)) cosines and sines of the angles 2 pi (k + c) / n.
+
+    Each angle is j quarter turns, j the integer nearest 4 (k + c) / n,
+    plus a remainder phi in [-pi/4, pi/4] taken from the exact integer
+    4 k - j n.  The quarter turns are exact swaps and sign flips, so the
+    values carry no rounding of angles up to 2 pi: each is within a few
+    1e-16 of the true cosine or sine.
+    """
+    j = np.rint(4.0 * (k + c) / n)
+    phi = (0.5 * np.pi / n) * ((4.0 * k - j * n) + 4.0 * c)
+    cp, sp = np.cos(phi), np.sin(phi)
+    q = j.astype(np.int64) % 4
+    out = np.empty((2, len(k)))
+    np.choose(q, (cp, -sp, -cp, sp), out=out[0])
+    np.choose(q, (sp, cp, -sp, -cp), out=out[1])
+    out.setflags(write=False)
+    return out
 
 
-def _step_unitaries(sample, ts):
-    """CF4 step unitaries for H = -(1/2) B . sigma, as SU(2) pairs.
+def _phase_table(n):
+    """Drive-angle table of an n-step loop: read-only (grid, node) arrays.
 
-    With B1, B2 the field at the step's Gauss nodes, the step is
+    ``grid`` (2, n + 1) holds the cosine and sine of the grid angles
+    2 pi k / n, ``node`` (2, n) those of each step's first Gauss node,
+    2 pi (k + c1) / n.  The second node needs no row of its own: as
+    c2 = 1 - c1, its angle in step k is 2 pi minus node 1's angle in step
+    n - 1 - k, so its values are node 1's reversed, with the sine negated.
+    Tables of up to ``_TABLE_MAX_STEPS`` steps are built once and kept.
+    """
+    table = _TABLES.get(n)
+    if table is None:
+        k = np.arange(n + 1.0)
+        table = (_cos_sin(k, 0.0, n), _cos_sin(k[:-1], _NODES[0], n))
+        if n <= _TABLE_MAX_STEPS:
+            table = _TABLES.setdefault(n, table)
+    return table
+
+
+def _step_unitaries(s: FieldSchedule, ts):
+    """CF4 step unitaries of one period for H = -(1/2) B . sigma, as SU(2) pairs.
+
+    ``ts`` is the rung's uniform grid (``time_grid``); its n = len(ts) - 1
+    steps each span h = s.period / n.  With B1, B2 the field at the step's
+    Gauss nodes, read from the phase table, the step is
     exp(-i h (a1 H1 + a2 H2)) exp(-i h (a2 H1 + a1 H2)); the right factor,
     weighted towards B1, acts first.  Each factor is
     exp(+i (h/2) B' . sigma) in closed form, and one SU(2) product composes
     the two.  Returns shape (n, 2) complex, the Cayley-Klein pairs of the
     steps' unit quaternions, stored pair-major (see ``pauli._su2_exp``).
     """
-    nodes, dts = _gauss_nodes(ts)
-    b1, b2 = np.asarray(sample(nodes), dtype=float)
-    first = _su2_exp(_A2 * b1 + _A1 * b2, 0.5 * dts)
+    n = len(ts) - 1
+    half = 0.5 * (s.period / n)
+    _, (c, sn) = _phase_table(n)
+    b1 = np.asarray(s.field(c, sn), dtype=float)
+    b2 = np.asarray(s.field(c[::-1], -sn[::-1]), dtype=float)
+    first = _su2_exp(_A2 * b1 + _A1 * b2, half)
     mixed = _A1 * b1 + _A2 * b2
     del b1, b2  # free the samples before the second exponential and the product
-    return _su2_mul(_su2_exp(mixed, 0.5 * dts), first)
+    return _su2_mul(_su2_exp(mixed, half), first)
 
 
 def _su2_prefixes(q):
@@ -267,7 +320,7 @@ def total_unitary(s: FieldSchedule, cfg: PropagatorConfig | None = None):
     cfg = cfg or PropagatorConfig()
 
     def run(steps):
-        return _chain_product(_step_unitaries(s.sample, time_grid(s, steps)))
+        return _chain_product(_step_unitaries(s, time_grid(s, steps)))
 
     u = refine(run, lambda a, b: [_state_change(a, b, cfg, "matrix")], cfg, "total unitary")
     return _unitary_projection(u)

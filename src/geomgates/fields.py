@@ -1,7 +1,10 @@
 """Time-dependent control-field schedules for the two qubit platforms.
 
-A schedule is a deterministic map t -> B(t) (a 3-vector in energy units)
-over one loop period tau.  Single-qubit dynamics follow
+A schedule is a deterministic field B (a 3-vector in energy units) over
+one loop period tau = 2 pi / omega.  Every drive traces its loop once per
+period and depends on time only through the drive angle wt, so a schedule
+holds B as a function of c = cos wt and s = sin wt; ``sample(t)`` reads it
+at arbitrary times.  Single-qubit dynamics follow
 H(t) = -(1/2) B(t) . sigma.  Builders are provided for
 
 * a circularly rotating transverse field with a static z component
@@ -13,7 +16,10 @@ H(t) = -(1/2) B(t) . sigma.  Builders are provided for
 
 A schedule can be rotated about the y axis, sign-flipped and retraced.
 Every schedule spans exactly one period: a protocol of several loops is
-the product of the loops' propagators, not one joined schedule.
+the product of the loops' propagators, not one joined schedule.  Since
+omega tau = 2 pi, retracing the loop maps the drive angle wt to
+2 pi - wt, that is (c, s) to (c, -s), so every transform is an exact map
+of the field function.
 """
 
 from __future__ import annotations
@@ -45,27 +51,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldSchedule:
-    """A deterministic field history B(t) over one loop, 0 <= t <= period.
+    """A deterministic field over one loop, as a function of the drive angle.
 
     Attributes
     ----------
-    sample : callable
-        Maps a float or 1-d array of times to field vectors of shape
-        (..., 3).  Pure function; schedules are safe to share across
-        workers.
-    period : float
-        Loop period tau: the time span the schedule covers.
+    field : callable
+        Maps c = cos wt and s = sin wt (floats or equal-shape arrays) to
+        field vectors of shape (..., 3).  Pure function; schedules are safe
+        to share across workers.
+    omega : float
+        Drive angular frequency w; the loop spans one period 2 pi / w.
     label : str
         Human-readable tag carried into exports.
     """
 
-    sample: Callable[[np.ndarray], np.ndarray]
-    period: float
+    field: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    omega: float
     label: str
 
     def __post_init__(self):
         if not self.period > 0.0:
             raise ValueError(f"schedule period must be positive, got {self.period}")
+
+    @property
+    def period(self):
+        """Loop period tau = 2 pi / omega: the time span the schedule covers."""
+        return 2.0 * np.pi / self.omega
+
+    def sample(self, t):
+        """Field vectors (..., 3) at a float or array of times t."""
+        wt = self.omega * np.asarray(t, dtype=float)
+        return self.field(np.cos(wt), np.sin(wt))
 
 
 @dataclass(frozen=True)
@@ -162,21 +178,17 @@ def nmr_schedule(p: NmrParams) -> FieldSchedule:
     turns into the z-field shift (2*delta - 1) * j and nothing else changes.
     """
     z = p.z_effective
-    omega0, omega = p.omega0, p.omega
+    omega0 = p.omega0
 
-    def sample(t):
-        t = np.asarray(t, dtype=float)
-        wt = omega * t
-        out = np.empty(t.shape + (3,))
-        x, y = out[..., 0], out[..., 1]
-        np.multiply(np.cos(wt, out=x), omega0, out=x)
-        np.multiply(np.sin(wt, out=y), omega0, out=y)
+    def field(c, s):
+        out = np.empty(np.shape(c) + (3,))
+        np.multiply(c, omega0, out=out[..., 0])
+        np.multiply(s, omega0, out=out[..., 1])
         out[..., 2] = z
         return out
 
-    tau = p.tau
     label = f"nmr(omega0={p.omega0:g}, z={z:g}, omega={p.omega:g})"
-    return FieldSchedule(sample=sample, period=tau, label=label)
+    return FieldSchedule(field=field, omega=p.omega, label=label)
 
 
 def josephson_ej(p: JosephsonParams, t):
@@ -241,12 +253,9 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
     omega = p.omega
     shift = p.e_i * (p.nxc - p.delta)
 
-    def sample(t):
-        t = np.asarray(t, dtype=float)
-        wt = omega * t
-        c, s = np.cos(wt), np.sin(wt)
+    def field(c, s):
         ej = _josephson_ej(p, c, s)
-        out = np.empty(t.shape + (3,))
+        out = np.empty(np.shape(ej) + (3,))
         x, y, z = out[..., 0], out[..., 1], out[..., 2]
         np.multiply(ej, c, out=x)
         np.negative(np.multiply(ej, s, out=y), out=y)
@@ -256,11 +265,10 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
             z += shift
         return out
 
-    tau = p.tau
     label = f"josephson(e1={p.e1:g}, e2={p.e2:g}, chi0={p.chi0:g}, omega={p.omega:g})"
     if shift != 0.0:
         label += f" + z_shift({shift:g})"
-    return FieldSchedule(sample=sample, period=tau, label=label)
+    return FieldSchedule(field=field, omega=omega, label=label)
 
 
 def rotation_about_y(angle):
@@ -271,10 +279,7 @@ def rotation_about_y(angle):
 
 def _map_field(s: FieldSchedule, f, label) -> FieldSchedule:
     """Apply a pointwise linear map to the field."""
-    def sample(t):
-        return f(s.sample(t))
-
-    return FieldSchedule(sample=sample, period=s.period, label=label)
+    return FieldSchedule(field=lambda c, sn: f(s.field(c, sn)), omega=s.omega, label=label)
 
 
 def rotate_schedule(s: FieldSchedule, dchi) -> FieldSchedule:
@@ -289,28 +294,25 @@ def negated_schedule(s: FieldSchedule) -> FieldSchedule:
 
 
 def time_reversed_schedule(s: FieldSchedule) -> FieldSchedule:
-    """Retrace one loop backwards without flipping the field sign."""
-    tau = s.period
+    """Retrace one loop backwards without flipping the field sign.
 
-    def sample(t):
-        return s.sample(tau - np.asarray(t, dtype=float))
-
-    return FieldSchedule(sample=sample, period=tau, label=f"time_reversed[{s.label}]")
+    B'(t) = B(tau - t): the drive angle 2 pi - wt, so the field at (c, -s).
+    """
+    return FieldSchedule(
+        field=lambda c, sn: s.field(c, -sn), omega=s.omega, label=f"time_reversed[{s.label}]"
+    )
 
 
 def reversed_schedule(s: FieldSchedule) -> FieldSchedule:
-    """Sign-flipped retraced loop: sample(t) = -s.sample(tau - t).
+    """Sign-flipped retraced loop: B'(t) = -B(tau - t), the field -B(c, -s).
 
     Run after the original loop, this is the second period of the
     echo-style protocol B(2 tau - t) = -B(t).  Applying it twice returns the
     original loop.
     """
-    tau = s.period
-
-    def sample(t):
-        return -s.sample(tau - np.asarray(t, dtype=float))
-
-    return FieldSchedule(sample=sample, period=tau, label=f"reversed[{s.label}]")
+    return FieldSchedule(
+        field=lambda c, sn: -s.field(c, -sn), omega=s.omega, label=f"reversed[{s.label}]"
+    )
 
 
 @dataclass(frozen=True)

@@ -118,9 +118,10 @@ def cyclic_pair_nmr(p: NmrParams) -> CyclicPair:
 
 def verify_cone(s: FieldSchedule, chi0, omega):
     """Largest deviation of arctan(E_perp / (B_z - omega)) from chi0,
-    over 2048 uniform samples of one loop."""
-    ts = np.linspace(0.0, s.period, 2048, endpoint=False)
-    b = np.asarray(s.sample(ts), dtype=float)
+    over 2048 uniform samples of one loop (the 2048-step phase table's
+    grid without its closing point)."""
+    (c, sn), _ = evolve._phase_table(2048)
+    b = np.asarray(s.field(c[:-1], sn[:-1]), dtype=float)
     eperp = np.hypot(b[:, 0], b[:, 1])
     chi = np.arctan2(eperp, b[:, 2] - omega)
     return float(np.max(np.abs(chi - chi0)))
@@ -180,10 +181,12 @@ def _expectation_integral(s: FieldSchedule, ts, bloch):
     The field is smooth over the loop, so one composite Simpson sum over
     the whole uniform grid ``ts`` (an even number of steps, see
     ``evolve.time_grid``) suffices.  ``bloch`` is one path (n + 1, 3) or a
-    stack (..., n + 1, 3) of paths, all integrated against one sampling of
-    the field.
+    stack (..., n + 1, 3) of paths, all integrated against one reading of
+    the field on the grid's row of the phase table (``evolve._phase_table``).
     """
-    energy = -0.5 * np.einsum("nk,...nk->...n", np.asarray(s.sample(ts), dtype=float), bloch)
+    grid, _ = evolve._phase_table(len(ts) - 1)
+    b = np.asarray(s.field(*grid), dtype=float)
+    energy = -0.5 * np.einsum("nk,...nk->...n", b, bloch)
     return _simpson(energy, ts)
 
 
@@ -234,7 +237,7 @@ def decompose(
 
     def run(steps):
         ts = evolve.time_grid(s, steps)
-        states = evolve._fixed_states(evolve._step_unitaries(s.sample, ts), psi0)
+        states = evolve._fixed_states(evolve._step_unitaries(s, ts), psi0)
         bloch = evolve._bloch_rows(states)
         dyn = -_expectation_integral(s, ts, bloch)
         # a copy, so that the previous rung keeps its path but not its states
@@ -322,13 +325,13 @@ def berry_adiabatic(s: FieldSchedule):
     """Adiabatic-limit phase: solid angle traced by the field direction.
 
     Applies the same line integral to Bhat(t) on 4096 uniform steps of one
-    period.  This is the phase a state pinned to +Bhat would pick up per
-    loop; the anti-aligned member's value is obtained by passing the
-    negated schedule.  Raises ValueError if the field magnitude vanishes
-    anywhere on the loop.
+    period (the grid of the 4096-step phase table).  This is the phase a
+    state pinned to +Bhat would pick up per loop; the anti-aligned member's
+    value is obtained by passing the negated schedule.  Raises ValueError
+    if the field magnitude vanishes anywhere on the loop.
     """
-    ts = np.linspace(0.0, s.period, 4097)
-    b = np.asarray(s.sample(ts), dtype=float)
+    grid, _ = evolve._phase_table(4096)
+    b = np.asarray(s.field(*grid), dtype=float)
     nb = np.linalg.norm(b, axis=-1)
     if float(nb.min()) <= 1e-12 * float(nb.max()):
         raise ValueError("field magnitude vanishes on the loop; direction undefined")

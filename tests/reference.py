@@ -143,7 +143,7 @@ def block_trajectory(model, psi4, cfg: PropagatorConfig):
         for delta in (0, 1):
             sched = model.block_schedule(delta)
             ts = time_grid(sched, steps)
-            us = evolve._step_unitaries(sched.sample, ts)
+            us = evolve._step_unitaries(sched, ts)
             # blocks carry unnormalized (possibly zero) parts of psi4
             block = evolve._apply_chain(us, psi4[2 * delta : 2 * delta + 2])
             phase = np.exp(-1j * model.block_energy(delta) * ts)
@@ -186,13 +186,15 @@ def dense_step_unitaries(model, ts):
     """CF4 step unitaries of the full 4x4 Hamiltonian (fourth order).
 
     The same two-exponential scheme as ``evolve._step_unitaries``, with
-    each factor exp(-i h H') taken by Hermitian eigendecomposition.
+    the Hamiltonian sampled at the Gauss-node times of the uniform grid
+    ``ts`` and each factor exp(-i h H') taken by Hermitian
+    eigendecomposition.
     """
-    nodes, dts = evolve._gauss_nodes(ts)
-    h1, h2 = h4(model, nodes)
+    h = (ts[-1] - ts[0]) / (len(ts) - 1)
+    h1, h2 = h4(model, np.stack([ts[:-1] + c * h for c in evolve._NODES]))
     a1, a2 = evolve._A1, evolve._A2
     w, v = np.linalg.eigh(np.stack([a2 * h1 + a1 * h2, a1 * h1 + a2 * h2]))
-    phases = np.exp(-1j * w * dts[:, None])
+    phases = np.exp(-1j * w * h)
     first, second = np.einsum("snij,snj,snkj->snik", v, phases, v.conj())
     return second @ first
 

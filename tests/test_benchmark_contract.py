@@ -46,7 +46,7 @@ def test_step_counters_read_true_step_counts(quick):
     rec = tracing.Recorder()
     rec.install()
     try:
-        us = evolve._step_unitaries(s.sample, evolve.time_grid(s, 512))
+        us = evolve._step_unitaries(s, evolve.time_grid(s, 512))
         evolve._apply_chain(us, psi)
         evolve._chain_product(us)
         kernels, _ = tracing.summarize(rec, 1)

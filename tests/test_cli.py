@@ -397,6 +397,24 @@ def test_loop_grids_outside_their_domain_exit_two(
     assert message in err
 
 
+def test_gate_rejects_the_table_format_flag(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"platform": "nmr", "omega0": 2.0, "omega1": 0.9, "omega": 1.1}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gate", str(spec), "--out", str(tmp_path / "out"), "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gate", "-h"])
+    assert exc.value.code == 0
+    gate_help = capsys.readouterr().out
+    assert "--tol" in gate_help and "--format" not in gate_help
+    with pytest.raises(SystemExit):
+        cli.main(["fig2b", "-h"])
+    assert "--format" in capsys.readouterr().out
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["render"])

@@ -40,12 +40,59 @@ def test_oracle_matches_direct_matrix_exponential():
     assert np.allclose(evolve.rotating_frame_oracle(P, PSI0, t), u @ PSI0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 18, 4096, 6000])
+def test_mirrored_second_node_matches_its_angles(n):
+    # node 2 of step k is node 1 of step n - 1 - k mirrored to (c, -s);
+    # the reference angles 2 pi (k + c2) / n are taken in long double, and
+    # the bound allows for that reference's own rounding
+    _, (c, sn) = evolve._phase_table(n)
+    ld = np.longdouble
+    angles = 2 * (4 * np.arctan(ld(1))) * (np.arange(n, dtype=ld) + ld(evolve._NODES[1])) / n
+    bound = 4e-16 + 8 * np.finfo(ld).eps
+    assert np.max(np.abs(c[::-1] - np.cos(angles))) <= bound
+    assert np.max(np.abs(-sn[::-1] - np.sin(angles))) <= bound
+
+
+def test_phase_tables_are_read_only_and_bounded():
+    grid, node = evolve._phase_table(4096)
+    assert grid.shape == (2, 4097) and node.shape == (2, 4096)
+    # one shared table per step count
+    assert evolve._phase_table(4096)[0] is grid
+    for a in (grid, node, grid[0], node[1, ::-1]):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[..., 0] = 0.0
+    # a runaway ladder's rungs are built but not kept
+    big = 2**17
+    assert big > evolve._TABLE_MAX_STEPS
+    assert evolve._phase_table(big)[0].shape == (2, big + 1)
+    assert big not in evolve._TABLES
+    assert max(evolve._TABLES) <= evolve._TABLE_MAX_STEPS
+
+
+def test_rungs_never_sample_the_field_in_time(monkeypatch, quick):
+    nmr = fields.nmr_schedule(P)
+    jp = fields.JosephsonParams(e1=1.5625, e2=6.25, e_ch=39.0625, chi0=0.7, omega=0.9)
+    charge = fields.josephson_schedule(jp)
+
+    def refuse(self, t):
+        raise AssertionError(f"{self.label} sampled at times")
+
+    monkeypatch.setattr(fields.FieldSchedule, "sample", refuse)
+    for s in (nmr, fields.reversed_schedule(nmr), charge, fields.rotate_schedule(charge, 0.3)):
+        phases.decompose(s, [PSI0, pauli.KET1], quick, with_unitary=True)
+        evolve.total_unitary(s, quick)
+        phases.berry_adiabatic(s)
+    assert phases.verify_cone(charge, jp.chi0, jp.omega) <= 1e-12
+    phases.cyclic_pair_josephson(jp)
+
+
 def test_fourth_order_convergence_against_oracle():
     s = fields.nmr_schedule(P)
     ref = evolve.rotating_frame_oracle(P, PSI0, s.period)
 
     def err(steps):
-        us = evolve._step_unitaries(s.sample, evolve.time_grid(s, steps))
+        us = evolve._step_unitaries(s, evolve.time_grid(s, steps))
         states = evolve._fixed_states(us, PSI0)
         return float(np.max(np.abs(states[-1] - ref)))
 

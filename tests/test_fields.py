@@ -22,6 +22,30 @@ def test_nmr_schedule_samples_rotating_field():
     assert abs(s.period - 2.0 * np.pi / 1.3) < 1e-15
 
 
+def _with_transforms(s):
+    return (
+        s,
+        fields.negated_schedule(s),
+        fields.rotate_schedule(s, 0.7),
+        fields.time_reversed_schedule(s),
+        fields.reversed_schedule(s),
+    )
+
+
+def test_sample_reads_the_field_at_the_drive_angle():
+    ts = np.linspace(-0.3, 11.0, 37)
+    for base in (fields.nmr_schedule(P), fields.josephson_schedule(JP)):
+        for s in _with_transforms(base):
+            for t in (ts, 0.42):
+                wt = s.omega * np.asarray(t)
+                assert np.array_equal(s.sample(t), s.field(np.cos(wt), np.sin(wt)))
+            assert s.period == 2.0 * np.pi / base.omega and s.omega == base.omega
+    # the NMR sampler keeps its operation order: omega0 cos wt, omega0 sin wt
+    b = fields.nmr_schedule(P).sample(ts)
+    assert np.array_equal(b[:, 0], np.cos(P.omega * ts) * P.omega0)
+    assert np.array_equal(b[:, 1], np.sin(P.omega * ts) * P.omega0)
+
+
 def test_conditional_schedule_shifts_z_by_coupling():
     down = fields.nmr_schedule(replace(P, delta=0))
     up = fields.nmr_schedule(replace(P, delta=1))

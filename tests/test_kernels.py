@@ -113,7 +113,7 @@ def test_matrix_of_states_maps_the_state_and_its_flip():
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_steps_are_unit_quaternions(name):
     s = SAMPLERS[name]
-    q = evolve._step_unitaries(s.sample, evolve.time_grid(s, 4096))
+    q = evolve._step_unitaries(s, evolve.time_grid(s, 4096))
     assert q.shape == (4096, 2)
     assert q.T.flags.c_contiguous
     # |alpha|^2 + |beta|^2 = w^2 + x^2 + y^2 + z^2
@@ -123,12 +123,14 @@ def test_steps_are_unit_quaternions(name):
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_steps_equal_product_of_factor_exponentials(name):
     s = SAMPLERS[name]
-    ts = evolve.time_grid(s, 4096)
-    nodes, dts = evolve._gauss_nodes(ts)
-    b1, b2 = s.sample(nodes)
-    first = pauli.expm_pauli(evolve._A2 * b1 + evolve._A1 * b2, 0.5 * dts)
-    second = pauli.expm_pauli(evolve._A1 * b1 + evolve._A2 * b2, 0.5 * dts)
-    got = pauli._su2_matrix(evolve._step_unitaries(s.sample, ts))
+    # the field at both Gauss nodes of every step, read from the phase
+    # table, node 2 mirrored from node 1; every step spans h = tau / n
+    _, (c, sn) = evolve._phase_table(4096)
+    b1, b2 = s.field(c, sn), s.field(c[::-1], -sn[::-1])
+    h = s.period / 4096
+    first = pauli.expm_pauli(evolve._A2 * b1 + evolve._A1 * b2, 0.5 * h)
+    second = pauli.expm_pauli(evolve._A1 * b1 + evolve._A2 * b2, 0.5 * h)
+    got = pauli._su2_matrix(evolve._step_unitaries(s, evolve.time_grid(s, 4096)))
     assert np.max(np.abs(got - second @ first)) <= 1e-15
 
 

@@ -112,6 +112,31 @@ charge_drives = st.builds(
 
 @given(
     drive=st.one_of(
+        nmr_params.map(fields.nmr_schedule),
+        charge_drives.map(fields.josephson_schedule),
+    ),
+    dchi=st.floats(-np.pi, np.pi),
+    n=st.sampled_from([16, 18, 4096, 6000]),
+)
+def test_table_fields_match_time_samples(drive, dchi, n):
+    # every transform is an exact map of the field function, so on the
+    # table's grid it matches the field sampled at the grid's times
+    grid, _ = evolve._phase_table(n)
+    ts = evolve.time_grid(drive, n)
+    for s in (
+        drive,
+        fields.negated_schedule(drive),
+        fields.rotate_schedule(drive, dchi),
+        fields.time_reversed_schedule(drive),
+        fields.reversed_schedule(drive),
+    ):
+        want = s.sample(ts)
+        scale = np.max(np.linalg.norm(want, axis=-1))
+        assert np.max(np.abs(s.field(*grid) - want)) <= 1e-14 * scale
+
+
+@given(
+    drive=st.one_of(
         nmr_params.map(lambda p: (fields.nmr_schedule(p), phases.cyclic_pair_nmr(p))),
         charge_drives.map(
             lambda p: (fields.josephson_schedule(p), phases.cyclic_pair_josephson(p))
@@ -171,14 +196,14 @@ def test_charge_pair_returns_to_itself(accurate, e1, ratio, e_ch, cos_chi0, tau_
 
 @contextmanager
 def _stepped():
-    """Record (sampler, step count) of every CF4 step-unitary build inside
+    """Record (schedule, step count) of every CF4 step-unitary build inside
     the block."""
     counts = []
     orig = evolve._step_unitaries
 
-    def counting(sample, ts):
-        counts.append((sample, len(ts) - 1))
-        return orig(sample, ts)
+    def counting(s, ts):
+        counts.append((s, len(ts) - 1))
+        return orig(s, ts)
 
     evolve._step_unitaries = counting
     try:
@@ -234,8 +259,8 @@ def _kept_steps():
     kept = []
     orig = evolve._step_unitaries
 
-    def keeping(sample, ts):
-        kept.append(orig(sample, ts))
+    def keeping(s, ts):
+        kept.append(orig(s, ts))
         return kept[-1]
 
     evolve._step_unitaries = keeping
