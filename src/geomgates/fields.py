@@ -70,8 +70,10 @@ class FieldSchedule:
     label: str
 
     def __post_init__(self):
-        if not self.period > 0.0:
-            raise ValueError(f"schedule period must be positive, got {self.period}")
+        if not 0.0 < self.omega < np.inf:
+            raise ValueError(
+                f"schedule drive frequency must be positive and finite, got {self.omega}"
+            )
 
     @property
     def period(self):

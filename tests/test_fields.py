@@ -193,3 +193,9 @@ def test_josephson_params_validation():
     for e_ch in (0.0, -39.0):
         with pytest.raises(ValueError, match="e_ch must be positive"):
             fields.JosephsonParams(e1=1.0, e2=2.0, e_ch=e_ch, chi0=0.5, omega=1.0)
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.3, float("inf"), float("nan")])
+def test_schedule_needs_a_positive_finite_drive_frequency(omega):
+    with pytest.raises(ValueError, match="drive frequency"):
+        fields.FieldSchedule(field=fields.nmr_schedule(P).field, omega=omega, label="bad")
