@@ -66,6 +66,7 @@ from .phases import (  # noqa: F401
     cyclic_pair_josephson,
     cyclic_pair_nmr,
     decompose,
+    decompose_loop,
     solid_angle,
     verify_cyclic,
 )

@@ -34,9 +34,13 @@ and last states also give the one-period matrix; the product tree
 ``_chain_product`` serves matrix-only ladders, where it costs about half
 the scan's pair products.
 
-Also provided: a closed-form rotating-frame solution for the NMR-style
-drive, used as an independent oracle, and its two-qubit counterpart, the
-coupled pair's one-period propagator from one constant 4x4 Hamiltonian.
+Also provided: the closed-form propagator of a field whose axis is fixed
+in the frame rotating with the drive (``_frame_unitary``), behind both the
+NMR-style drive's independent oracle and ``phases.decompose_loop``'s
+exact route; and its two-qubit counterpart, the coupled pair's one-period
+propagator from one constant 4x4 Hamiltonian.  The CF4 ladder computes
+every loop the closed form does not cover, and it stays the reference
+that ``verify`` holds the closed form to.
 """
 
 from __future__ import annotations
@@ -149,8 +153,7 @@ _A1, _A2 = 0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0
 # Phase tables are kept for step counts up to this, 32 n bytes each (about
 # 2 MB through 32,768 steps), so a ladder that fails to converge retains
 # nothing for its larger rungs.  Tables are read-only and depend on n
-# alone; when pool threads race to build one, ``setdefault`` keeps the
-# first and every caller reads that one.
+# alone.
 _TABLE_MAX_STEPS = 65536
 _TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -190,7 +193,7 @@ def _phase_table(n):
         k = np.arange(n + 1.0)
         table = (_cos_sin(k, 0.0, n), _cos_sin(k[:-1], _NODES[0], n))
         if n <= _TABLE_MAX_STEPS:
-            table = _TABLES.setdefault(n, table)
+            _TABLES[n] = table
     return table
 
 
@@ -339,21 +342,39 @@ def final_state(s: FieldSchedule, psi0, cfg: PropagatorConfig | None = None):
     return total_unitary(s, cfg) @ psi0
 
 
+def _frame_unitary(winding, omega, axis, phi, t):
+    """Propagator from 0 to t of a field with a fixed rotating-frame axis.
+
+    For the lab field B = R_z(w omega t)(m n) - w omega z-hat (a
+    ``fields.Frame``), psi = exp(-i (w omega t / 2) sz) xi turns
+    i dpsi/dt = -(1/2) B . sigma psi into i dxi/dt = -(1/2) m n . sigma xi,
+    whose generator keeps its direction, so
+
+        U(t) = exp(-i (w omega t / 2) sz) exp(i (phi / 2) n . sigma),
+
+    with phi = integral_0^t m dt' the field angle swept in the frame.  ``axis``
+    need not be a unit vector: with axis = m n and phi = t the second factor
+    is the same exponential.  At one period t = 2 pi / omega the first factor
+    is -I.  Exactly unitary, with no steps.
+    """
+    frame = expm_pauli(np.array([0.0, 0.0, 1.0]), -0.5 * winding * omega * t)
+    return frame @ expm_pauli(np.asarray(axis, dtype=float), 0.5 * phi)
+
+
 def rotating_frame_oracle(p: NmrParams, psi0, t):
     """Closed-form state for the rotating drive, via the rotating frame.
 
     psi(t) = exp(-i (w t / 2) sz) exp(-i H' t) psi0 with the constant
     rotating-frame generator H' = -(1/2) (omega0 sx + (z + omega) sz),
-    where z is the (possibly shifted) static field.  Exactly unitary; used
-    as the independent reference for the stepper.
+    where z is the (possibly shifted) static field: ``_frame_unitary`` with
+    winding +1 and the constant field (omega0, 0, z + omega).  Used as the
+    independent reference for the stepper.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     pauli.assert_normalized(psi0)
-    z = p.z_effective
     t = float(t)
-    frame = expm_pauli(np.array([0.0, 0.0, 1.0]), -0.5 * p.omega * t)
-    core = expm_pauli(np.array([p.omega0, 0.0, z + p.omega]), 0.5 * t)
-    return frame @ (core @ psi0)
+    u = _frame_unitary(+1, p.omega, [p.omega0, 0.0, p.z_effective + p.omega], t, t)
+    return u @ psi0
 
 
 def two_qubit_unitary(model: TwoQubitModel):

@@ -17,9 +17,7 @@ is the one reported.
 from __future__ import annotations
 
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,12 +26,7 @@ import numpy as np
 from . import __version__
 from .config import Config, ConfigError, Fig2Config
 from .csvio import table_to_json, write_json, write_table
-from .evolve import (
-    final_state,
-    rotating_frame_oracle,
-    time_grid,
-    two_qubit_unitary,
-)
+from .evolve import rotating_frame_oracle, time_grid, two_qubit_unitary
 from .fields import (
     JosephsonParams,
     NmrParams,
@@ -50,7 +43,7 @@ from .phases import (
     berry_adiabatic,
     cyclic_pair_josephson,
     cyclic_pair_nmr,
-    decompose,
+    decompose_loop,
     loop_phase,
 )
 
@@ -80,13 +73,9 @@ def _numerics_meta(cfg: Config):
     }
 
 
-def _map_ordered(fn, items):
-    """Evaluate fn over items concurrently; results keep the input order."""
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, items))
+def _route_meta(routes):
+    """The ``exact_route`` header value: every route the exact column used."""
+    return "+".join(sorted(set(routes)))
 
 
 def _write(out_dir, stem, fmt, params, columns):
@@ -116,7 +105,9 @@ def fig1_sweep(cfg: Config, variant):
     phases time-independent.
 
     Returns (params, columns) with wrapped and unwrapped phase columns for
-    both control branches, plus cone angles and cyclicity defects.
+    both control branches, plus cone angles and cyclicity defects.  The
+    exact columns come from ``decompose_loop`` (in closed form on the
+    drive's rotating frame); the ``exact_route`` header names the route.
     """
     if variant not in ("a", "b"):
         raise ConfigError(f"fig1 variant must be 'a' or 'b', got {variant!r}")
@@ -132,24 +123,23 @@ def fig1_sweep(cfg: Config, variant):
         p = NmrParams(omega0=f.omega0, omega1=omega1, omega=omega, j=f.coupling_j, delta=delta)
         s = nmr_schedule(p)
         pair = cyclic_pair_nmr(p)
-        d = decompose(s, pair.psi_minus, cfg.propagator)
+        d = decompose_loop(s, pair.psi_minus, cfg.propagator)
         adiabatic = wrap_pi(berry_adiabatic(negated_schedule(s)))
-        return d.geometric, adiabatic, pair.chi, d.cyclicity_defect
-
-    def point(r):
-        return [branch(r, delta) for delta in (0, 1)]
+        return d.geometric, adiabatic, pair.chi, d.cyclicity_defect, d.route
 
     exact = {0: [], 1: []}
     adia = {0: [], 1: []}
     chi = {0: [], 1: []}
     defect = {0: [], 1: []}
-    for row in _map_ordered(point, ratios):
+    routes = []
+    for r in ratios:
         for delta in (0, 1):
-            g, a, c, cd = row[delta]
+            g, a, c, cd, route = branch(r, delta)
             exact[delta].append(g)
             adia[delta].append(a)
             chi[delta].append(c)
             defect[delta].append(cd)
+            routes.append(route)
 
     params = {
         "experiment": f"fig1{variant}",
@@ -159,6 +149,7 @@ def fig1_sweep(cfg: Config, variant):
         "coupling_j": f.coupling_j,
         "tau0": tau0,
         **_numerics_meta(cfg),
+        "exact_route": _route_meta(routes),
     }
     columns = [("tau_over_tau0", ratios)]
     for delta in (0, 1):
@@ -273,7 +264,8 @@ def fig2c_sweep(cfg: Config, cos_chi0):
     The sweep grid is tau / tau0 with tau0 = 1 / <E_J>; columns restate each
     operation time under the other two tau0 readings.  Returns
     (params, columns, extras) where extras carries the 10%-deviation
-    crossover time in absolute units and under all three readings.
+    crossover time in absolute units and under all three readings.  The
+    exact column comes from ``decompose_loop``, as in ``fig1_sweep``.
     """
     f = cfg.fig2
     t0 = tau0_candidates(f)
@@ -286,17 +278,18 @@ def fig2c_sweep(cfg: Config, cos_chi0):
         p = _josephson_params(f, cos_chi0, 2.0 * np.pi / tau)
         s = josephson_schedule(p)
         pair = cyclic_pair_josephson(p)
-        d = decompose(s, pair.psi_plus, cfg.propagator)
+        d = decompose_loop(s, pair.psi_plus, cfg.propagator)
         ga = berry_adiabatic(s)
         dev = abs(ga - d.geometric) / abs(d.geometric)
-        return tau, d.geometric, ga, dev, d.cyclicity_defect
+        return tau, d.geometric, ga, dev, d.cyclicity_defect, d.route
 
-    rows = _map_ordered(point, ratios)
+    rows = [point(r) for r in ratios]
     taus = [row[0] for row in rows]
     exact = [row[1] for row in rows]
     adia = [row[2] for row in rows]
     devs = [row[3] for row in rows]
     defects = [row[4] for row in rows]
+    routes = [row[5] for row in rows]
 
     taus = np.array(taus)
     tau_star = crossover_time(taus, devs)
@@ -321,6 +314,7 @@ def fig2c_sweep(cfg: Config, cos_chi0):
         "tau0_e_plus": t0["e_plus"],
         "tau0_e_minus_abs": t0["e_minus_abs"],
         **_numerics_meta(cfg),
+        "exact_route": _route_meta(routes),
     }
     columns = [
         ("tau_over_tau0_avg", ratios),
@@ -378,11 +372,11 @@ def _block_angle(model, pair, delta, prop):
     delta, with psi = pair.psi_minus.
 
     The block schedule does not depend on the control field, so one value
-    serves every control detuning.  Read from the converged 2x2 propagator
-    (product tree, no per-step states); no quadrature is needed.
+    serves every control detuning.  The block is an NMR drive and psi its
+    cyclic state, so ``decompose_loop`` reads the angle from the closed
+    form on the drive's rotating frame.
     """
-    psi = final_state(model.block_schedule(delta), pair.psi_minus, prop)
-    return float(np.angle(np.vdot(pair.psi_minus, psi)))
+    return decompose_loop(model.block_schedule(delta), pair.psi_minus, prop).total
 
 
 def _block_total(model, angle, delta):
@@ -413,9 +407,8 @@ def detuning_sweep(cfg: Config):
     Each model's one-period 4x4 propagator comes in closed form
     (``two_qubit_unitary``); both control states' totals and the control's
     final Bloch vector are read from that one matrix.  The eigenblock
-    angles, from CF4 ladders on the 2x2 block schedules, do not depend on
-    the control field and are computed once per sweep.  Each point is two
-    4x4 ``eigh`` calls, too little work for the thread pool.  A
+    angles, closed-form loops on the 2x2 block schedules, do not depend on
+    the control field and are computed once per sweep.  A
     ``[sweep]`` coupling of 0 gives the exact decoupled baseline: control
     fidelity 1 up to integrator tolerance.
     """

@@ -20,6 +20,13 @@ the product of the loops' propagators, not one joined schedule.  Since
 omega tau = 2 pi, retracing the loop maps the drive angle wt to
 2 pi - wt, that is (c, s) to (c, -s), so every transform is an exact map
 of the field function.
+
+Both builders' unshifted drives are fixed-axis fields in the frame that
+rotates with the drive, and say so in a ``Frame``:
+B = R_z(w wt)(m n) - w omega z-hat, with winding w = +-1, a fixed unit
+axis n and the magnitude m(c, s) = |B'|.  The sign-flipped retrace maps
+the frame; every other transform, and a z-shifted charge drive, has
+none.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import numpy as np
 
 __all__ = [
     "FieldSchedule",
+    "Frame",
     "NmrParams",
     "JosephsonParams",
     "TwoQubitModel",
@@ -49,6 +57,26 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """The drive's rotating frame, in which the field has a fixed axis.
+
+    The lab field is B = R_z(w wt)(m(c, s) n) - w omega z-hat, where R_z
+    turns about z, so in the frame rotating with the drive the field is
+    m n: fixed in direction, varying only in size.
+
+    winding : +1 for a counterclockwise loop, -1 for a clockwise one
+    axis : unit 3-vector n, the rotating-frame field direction
+    magnitude : maps c = cos wt and s = sin wt to m = |B'| >= 0
+
+    Frames compare and hash by identity, so schedules stay hashable.
+    """
+
+    winding: int
+    axis: np.ndarray
+    magnitude: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class FieldSchedule:
     """A deterministic field over one loop, as a function of the drive angle.
@@ -63,11 +91,15 @@ class FieldSchedule:
         Drive angular frequency w; the loop spans one period 2 pi / w.
     label : str
         Human-readable tag carried into exports.
+    frame : Frame or None
+        The rotating frame in which the field has a fixed axis, when the
+        builder knows one; it gives the loop's propagator in closed form.
     """
 
     field: Callable[[np.ndarray, np.ndarray], np.ndarray]
     omega: float
     label: str
+    frame: Frame | None = None
 
     def __post_init__(self):
         if not 0.0 < self.omega < np.inf:
@@ -178,6 +210,8 @@ def nmr_schedule(p: NmrParams) -> FieldSchedule:
     target when the control sits in |delta>: the exact eigenblock
     restriction of the coupled two-qubit Hamiltonian, where the zz coupling
     turns into the z-field shift (2*delta - 1) * j and nothing else changes.
+    In the frame rotating at omega the field is the constant
+    (omega0, 0, z + omega).
     """
     z = p.z_effective
     omega0 = p.omega0
@@ -190,7 +224,12 @@ def nmr_schedule(p: NmrParams) -> FieldSchedule:
         return out
 
     label = f"nmr(omega0={p.omega0:g}, z={z:g}, omega={p.omega:g})"
-    return FieldSchedule(field=field, omega=p.omega, label=label)
+    m = float(np.hypot(omega0, z + p.omega))
+    frame = None
+    if 0.0 < m < np.inf:  # a zero or overflowing field has no axis
+        axis = np.array([omega0, 0.0, z + p.omega]) / m
+        frame = Frame(+1, axis, lambda c, s: np.full(np.shape(c), m))
+    return FieldSchedule(field=field, omega=p.omega, label=label, frame=frame)
 
 
 def josephson_ej(p: JosephsonParams, t):
@@ -241,9 +280,11 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
     B(t) = (E_J(t) cos wt, -E_J(t) sin wt, E_J(t) cot chi0 + omega + d),
     with the control-conditioned z shift d = e_i (nxc - delta).  Without
     the shift (d = 0) it satisfies (B_z - omega) = E_J cot chi0 exactly,
-    so the cone angle arctan(E_J / (B_z - omega)) equals chi0 for all t;
-    a nonzero shift breaks the constant cone, and the label then ends in
-    `` + z_shift(d)``.
+    so the cone angle arctan(E_J / (B_z - omega)) equals chi0 for all t,
+    and the loop winds clockwise: in the frame rotating at -omega the
+    field is (E_J / sin chi0) (sin chi0, 0, cos chi0).  A nonzero shift
+    breaks the constant cone, the schedule then has no frame, and the
+    label ends in `` + z_shift(d)``.
     """
     if p.e_plus >= 0.5 * p.e_ch:  # e_plus is the largest E_J
         warnings.warn(
@@ -270,7 +311,11 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
     label = f"josephson(e1={p.e1:g}, e2={p.e2:g}, chi0={p.chi0:g}, omega={p.omega:g})"
     if shift != 0.0:
         label += f" + z_shift({shift:g})"
-    return FieldSchedule(field=field, omega=omega, label=label)
+        return FieldSchedule(field=field, omega=omega, label=label)
+    sin0 = np.sin(p.chi0)
+    axis = np.array([sin0, 0.0, np.cos(p.chi0)])
+    frame = Frame(-1, axis, lambda c, s: _josephson_ej(p, c, s) / sin0)
+    return FieldSchedule(field=field, omega=omega, label=label, frame=frame)
 
 
 def rotation_about_y(angle):
@@ -310,10 +355,17 @@ def reversed_schedule(s: FieldSchedule) -> FieldSchedule:
 
     Run after the original loop, this is the second period of the
     echo-style protocol B(2 tau - t) = -B(t).  Applying it twice returns the
-    original loop.
+    original loop.  A frame (w, n, m(c, s)) maps to (-w, -n, m(c, -s)).
     """
+    frame = s.frame
+    if frame is not None:
+        m = frame.magnitude
+        frame = Frame(-frame.winding, -frame.axis, lambda c, sn: m(c, -sn))
     return FieldSchedule(
-        field=lambda c, sn: -s.field(c, -sn), omega=s.omega, label=f"reversed[{s.label}]"
+        field=lambda c, sn: -s.field(c, -sn),
+        omega=s.omega,
+        label=f"reversed[{s.label}]",
+        frame=frame,
     )
 
 

@@ -186,6 +186,7 @@ def _decomp_dict(d: phases.PhaseDecomposition):
         "geometric": d.geometric,
         "cyclicity_defect": d.cyclicity_defect,
         "valid": d.valid,
+        "route": d.route,
     }
 
 
@@ -197,9 +198,13 @@ def synthesize_double_loop(
 ) -> GateReport:
     """Run two loops, the second with a reversal rule, and report the gate.
 
-    Each loop runs one refinement ladder, ``phases.decompose`` with
-    ``with_unitary=True``: its phase split and its one-period propagator
-    come from the same rungs, so no loop is propagated twice.  The
+    Each loop's phase split and one-period propagator come from one call
+    of ``phases.decompose_loop`` with ``with_unitary=True``: in closed form
+    when the loop has a rotating frame and starts on its axis (loop 1 of
+    every drive with a frame, and loop 2 of the default rule, which starts
+    from U1 psi_plus, a multiple of psi_plus, on the reversed frame's
+    axis), else from one refinement ladder whose rungs give both, so no
+    loop is propagated twice.  The report's loops name their route.  The
     composite is the product U2 @ U1 of the two loops' propagators, and
     the second loop starts from U1 psi_plus.  With the
     literal echo rule (second-loop field -B(tau - t)) U2 is exactly the
@@ -212,9 +217,9 @@ def synthesize_double_loop(
     cfg = cfg or evolve.PropagatorConfig()
     second = REVERSAL_RULES[reversal](s)
 
-    d1 = phases.decompose(s, pair.psi_plus, cfg, with_unitary=True)
+    d1 = phases.decompose_loop(s, pair.psi_plus, cfg, with_unitary=True)
     mid = pauli.normalize(d1.unitary @ pair.psi_plus)
-    d2 = phases.decompose(second, mid, cfg, cyclicity_threshold=np.inf, with_unitary=True)
+    d2 = phases.decompose_loop(second, mid, cfg, cyclicity_threshold=np.inf, with_unitary=True)
 
     u = d2.unitary @ d1.unitary
     fin = u @ pair.psi_plus

@@ -8,6 +8,12 @@ two independent ways: as total minus dynamical, and as the signed
 solid-angle line integral -(1/2) closed-int (1 - cos theta) dphi over the
 Bloch path.
 
+``decompose`` runs the CF4 ladder on any loop; ``decompose_loop``, which
+the figures, gates and eigenblock angles call, takes the closed form when
+the loop has a rotating frame and starts on its axis.  The closed form's
+geometric phase equals the loop law by its algebra, so ``verify`` keeps
+the ladder as its reference and holds the closed form to it.
+
 Sign convention (fixed by H = -(1/2) B . sigma and verified against the
 closed-form rotating-frame solution): a cone loop at polar angle chi whose
 azimuth advances counterclockwise (d phi > 0, one turn) gives the upper
@@ -35,6 +41,7 @@ __all__ = [
     "verify_cone",
     "verify_cyclic",
     "decompose",
+    "decompose_loop",
     "solid_angle",
     "berry_adiabatic",
     "loop_phase",
@@ -43,6 +50,13 @@ __all__ = [
 # Samples with sin(theta) below this are treated as polar; their azimuth is
 # taken from the nearest non-polar sample.
 _POLE_EPS = 1e-7
+
+# A start state lies on a frame axis n when its Bloch vector is within this
+# distance (largest component) of +n or -n; other states take the ladder.
+_AXIS_ATOL = 1e-12
+
+# The two routes of ``decompose_loop``, as recorded on their results.
+ROUTE_FRAME, ROUTE_LADDER = "rotating_frame", "cf4_ladder"
 
 # The dynamical-phase quadrature's rounding floor, relative to the phase:
 # slow loops accumulate hundreds of radians, and there no absolute bound
@@ -73,7 +87,9 @@ class PhaseDecomposition:
     cyclic enough (defect below the configured threshold) for the split to
     be meaningful.  ``unitary`` is the loop's one-period propagator when
     ``decompose`` was asked for it (``with_unitary=True``), else None.
-    ``bloch`` is the (n + 1, 3) Bloch path on the accepted rung's grid.
+    ``bloch`` is the (n + 1, 3) Bloch path on the accepted rung's grid
+    (None on the closed-form route).  ``route`` names what computed the
+    split: "cf4_ladder" or "rotating_frame" (see ``decompose_loop``).
     """
 
     total: float
@@ -83,6 +99,7 @@ class PhaseDecomposition:
     valid: bool
     unitary: np.ndarray | None = field(default=None, compare=False)
     bloch: np.ndarray | None = field(default=None, compare=False, repr=False)
+    route: str = ROUTE_LADDER
 
 
 @dataclass(frozen=True)
@@ -266,6 +283,74 @@ def decompose(
         geometric = pauli.wrap_pi(total - dyn_c)
         parts.append(PhaseDecomposition(total, dyn_c, geometric, defect, valid, u, path))
     return tuple(parts) if psi0.ndim == 2 else parts[0]
+
+
+def decompose_loop(
+    s: FieldSchedule,
+    psi0,
+    cfg: evolve.PropagatorConfig | None = None,
+    cyclicity_threshold=1e-6,
+    with_unitary=False,
+) -> PhaseDecomposition:
+    """``decompose`` for one state (2,), in closed form where one exists.
+
+    When ``s`` has a rotating frame (w, n, m) and psi0's Bloch vector is
+    sigma n (sigma = +-1, within 1e-12), the one-period propagator is
+    U = -exp(i (Phi/2) n . sigma) (``evolve._frame_unitary``), with
+    Phi = tau <m> the field angle swept in the frame (Aharonov & Anandan,
+    PRL 58, 1593 (1987)), and psi0 gets
+
+        total = arg<psi0|U psi0>,
+        dynamical = sigma (Phi - w 2 pi n_z) / 2,
+        geometric = total - dynamical, reduced to (-pi, pi].
+
+    <m> is the periodic trapezoid rule on the ``cfg.steps_per_period``
+    grid, spectrally accurate for a smooth periodic magnitude.  The result
+    has route "rotating_frame" and no Bloch path.  The CF4 ladder
+    (``decompose``) runs instead when the schedule has no frame, when psi0
+    lies off the axis, when the rule on the half grid moves Phi by more
+    than ``cfg.tolerance``, or when one ulp of Phi exceeds it: then
+    Phi mod 2 pi has no digits, and the ladder reports the loop as not
+    converged.
+    """
+    cfg = cfg or evolve.PropagatorConfig()
+    psi0 = np.asarray(psi0, dtype=complex)
+    exact = _frame_route(s, psi0, cfg)
+    if exact is None:
+        return decompose(s, psi0, cfg, cyclicity_threshold, with_unitary)
+    u, dyn = exact
+    ov = np.vdot(psi0, u @ psi0)
+    total = float(np.angle(ov))
+    defect = 1.0 - min(float(abs(ov)), 1.0)
+    return PhaseDecomposition(
+        total,
+        dyn,
+        pauli.wrap_pi(total - dyn),
+        defect,
+        bool(defect <= cyclicity_threshold),
+        u if with_unitary else None,
+        route=ROUTE_FRAME,
+    )
+
+
+def _frame_route(s: FieldSchedule, psi0, cfg):
+    """(U, dynamical phase) of the closed form for ``decompose_loop``, or
+    None when the ladder must run."""
+    frame = s.frame
+    if frame is None or psi0.shape != (2,):
+        return None
+    bloch = pauli.bloch_of_state(psi0)
+    sigma = 1.0 if float(bloch @ frame.axis) >= 0.0 else -1.0
+    if float(np.max(np.abs(bloch - sigma * frame.axis))) > _AXIS_ATOL:
+        return None
+    grid, _ = evolve._phase_table(evolve._even(cfg.steps_per_period))
+    m = frame.magnitude(grid[0, :-1], grid[1, :-1])
+    phi = s.period * float(np.mean(m))
+    half = s.period * float(np.mean(m[::2]))
+    if not (np.spacing(phi) <= cfg.tolerance and abs(phi - half) <= cfg.tolerance):
+        return None
+    u = evolve._frame_unitary(frame.winding, s.omega, frame.axis, phi, s.period)
+    return u, 0.5 * sigma * (phi - frame.winding * 2.0 * np.pi * float(frame.axis[2]))
 
 
 def _nearest_fill(values, good):

@@ -19,13 +19,14 @@ import numpy as np
 from . import experiments, gates, pauli, phases
 from .config import Config
 from .evolve import final_state, rotating_frame_oracle, total_unitary, two_qubit_unitary
-from .fields import NmrParams, nmr_schedule, nmr_two_qubit, rotate_schedule
+from .fields import NmrParams, nmr_schedule, nmr_two_qubit, reversed_schedule, rotate_schedule
 from .pauli import angle_dist, state_of_angles, wrap_pi
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
     "check_oracle_equivalence",
+    "check_route_vs_ladder",
     "check_cyclicity",
     "check_loop_phase_law",
     "check_antisymmetry",
@@ -125,6 +126,82 @@ def check_oracle_equivalence(cfg: Config):
         _le("oracle_state_infidelity", worst_infid, 1e-9, detail),
         _le("oracle_phase_deviation", worst_phase, 1e-8, detail),
     ]
+
+
+# ---------------------------------------------------------------------------
+# closed-form route vs ladder
+# ---------------------------------------------------------------------------
+
+def _route_rows(tag, schedules, prop):
+    """Hold ``decompose_loop``'s closed form to the CF4 ladder.
+
+    ``schedules`` holds (schedule, cyclic pair) items; each schedule runs
+    forward and as its ``reversed_schedule`` (the echo's second loop),
+    from both pair members.  The ladder is ``decompose`` with
+    ``with_unitary=True`` on the pair's stack.  A loop that did not take
+    the closed form fails both rows (measured inf).
+    """
+    worst_u = 0.0
+    worst_phase, phase_bound = 0.0, 10.0 * prop.tolerance
+    unrouted = []
+    for s, pair in schedules:
+        for loop in (s, reversed_schedule(s)):
+            members = (pair.psi_plus, pair.psi_minus)
+            ladder = phases.decompose(loop, np.stack(members), prop, with_unitary=True)
+            for psi, ref in zip(members, ladder):
+                d = phases.decompose_loop(loop, psi, prop, with_unitary=True)
+                if d.route != phases.ROUTE_FRAME:
+                    unrouted.append(loop.label)
+                    continue
+                worst_u = max(worst_u, float(np.max(np.abs(d.unitary - ref.unitary))))
+                # decompose's own bound: 10 tol + 1e-11 |phase|
+                bound = 10.0 * prop.tolerance + phases._QUAD_RTOL * abs(ref.dynamical)
+                for dev in (
+                    angle_dist(d.total, ref.total),
+                    abs(d.dynamical - ref.dynamical),
+                    angle_dist(d.geometric, ref.geometric),
+                ):
+                    if dev / bound > worst_phase / phase_bound:
+                        worst_phase, phase_bound = dev, bound
+    detail = f"{len(schedules)} loops and their reverses; both pair members"
+    if unrouted:
+        worst_u = worst_phase = math.inf
+        detail += f"; not on the closed-form route: {unrouted[0]}"
+    return [
+        _le(f"route_vs_ladder_unitary_{tag}", worst_u, 1e-9, detail),
+        _le(f"route_vs_ladder_phases_{tag}", worst_phase, phase_bound, detail),
+    ]
+
+
+def check_route_vs_ladder(cfg: Config):
+    """The closed-form route against the CF4 ladder on both platforms.
+
+    Rotating drive: both ``fig1`` control branches (static z field) at the
+    first, middle and last operation time of the ``[fig1]`` grid.  Charge
+    drive: the ``[verify]`` reference loop (10 tau0) and 3, 30 and the
+    longest ``[fig2]`` operation time.  The phases row's bound is the one
+    ``decompose`` accepts a rung pair at; it is printed for the worst loop.
+    This is the charge platform's propagator oracle.
+    """
+    prop = cfg.propagator
+    f = cfg.fig1
+    ratios = f.tau_grid.values()
+    nmr = []
+    for r in (ratios[0], ratios[len(ratios) // 2], ratios[-1]):
+        for delta in (0, 1):
+            p = NmrParams(
+                omega0=f.omega0,
+                omega1=f.omega1_a * f.coupling_j,
+                omega=f.omega0 / r,
+                j=f.coupling_j,
+                delta=delta,
+            )
+            nmr.append((nmr_schedule(p), phases.cyclic_pair_nmr(p)))
+    charge = []
+    for r in (3.0, 10.0, 30.0, cfg.fig2.tau_grid.values()[-1]):
+        jp = _josephson_reference(cfg, r)
+        charge.append((experiments.josephson_schedule(jp), phases.cyclic_pair_josephson(jp)))
+    return _route_rows("rotating_drive", nmr, prop) + _route_rows("charge_drive", charge, prop)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +469,11 @@ def check_charge_figure(cfg: Config):
 def check_echo_cancellation(cfg: Config):
     """Two loops with the sign-flipped retraced second period: dynamical
     phases cancel (asserted); the composite's distance to the identity and
-    to the doubled-cone target are reported, quantifying that the literal
-    echo rule inverts the whole first loop rather than doubling its
-    geometric phase."""
+    to the doubled-cone target are reported as 1 - gate fidelity,
+    quantifying that the literal echo rule inverts the whole first loop
+    rather than doubling its geometric phase.  The detail keeps the
+    phase-aligned entry deviation, which is ill-conditioned when the
+    trace is near 0 (the charge drive's doubled target is traceless)."""
     out = []
     f = cfg.fig1
     omega = f.omega0 / 4.0
@@ -415,15 +494,16 @@ def check_echo_cancellation(cfg: Config):
         out.append(
             _report(
                 f"echo_distance_to_identity_{tag}",
-                rep.deviation_identity,
-                f"fidelity {rep.fidelity_identity:.12g}",
+                1.0 - rep.fidelity_identity,
+                f"aligned deviation {rep.deviation_identity:.12g}",
             )
         )
         out.append(
             _report(
                 f"echo_distance_to_doubled_target_{tag}",
-                rep.deviation_target,
-                f"fidelity {rep.fidelity_target:.12g}; geometric sum {rep.geometric_sum:.12g}",
+                1.0 - rep.fidelity_target,
+                f"aligned deviation {rep.deviation_target:.12g}; "
+                f"geometric sum {rep.geometric_sum:.12g}",
             )
         )
     return out
@@ -587,6 +667,7 @@ def check_rotation_invariance(cfg: Config):
 
 ALL_CHECKS = (
     check_oracle_equivalence,
+    check_route_vs_ladder,
     check_cyclicity,
     check_loop_phase_law,
     check_antisymmetry,

@@ -18,7 +18,11 @@ from geomgates import evolve, fields, phases
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # Traced names whose functions left the package; the tracer lists them as absent.
-KNOWN_ABSENT = {"evolve.propagate_two_qubit", "evolve.dense_step_unitaries"}
+KNOWN_ABSENT = {
+    "evolve.propagate_two_qubit",
+    "evolve.dense_step_unitaries",
+    "experiments.map_ordered",
+}
 
 
 def _tracing():

@@ -246,9 +246,13 @@ def test_fused_ladder_matches_separate_ladders_on_charge_drive(cfg, accurate):
 
 
 def test_double_loop_steps_each_rung_once(accurate):
+    # a rotated drive has no rotating frame, so both loops climb a ladder
     p = fields.NmrParams(omega0=2.0, omega1=0.9, omega=1.1)
+    s = fields.rotate_schedule(fields.nmr_schedule(p), 0.3)
+    pair = phases.cyclic_pair(phases.cyclic_pair_nmr(p).chi + 0.3)
     with _stepped() as seen:
-        gates.synthesize_double_loop(fields.nmr_schedule(p), phases.cyclic_pair_nmr(p), accurate)
+        report = gates.synthesize_double_loop(s, pair, accurate)
+    assert report.loop1["route"] == report.loop2["route"] == "cf4_ladder"
     assert seen
     assert len(set(seen)) == len(seen)
 
@@ -286,3 +290,27 @@ def test_loop_matrix_from_the_chain_equals_the_product_tree(accurate, drive, the
         d = phases.decompose(drive, psi, accurate, with_unitary=True)
     tree = evolve._unitary_projection(evolve._chain_product(kept[-1]))
     assert np.max(np.abs(d.unitary - tree)) <= 1e-13
+
+
+@given(
+    drive=st.one_of(
+        nmr_params.map(lambda p: (fields.nmr_schedule(p), phases.cyclic_pair_nmr(p))),
+        charge_drives.map(
+            lambda p: (fields.josephson_schedule(p), phases.cyclic_pair_josephson(p))
+        ),
+    )
+)
+def test_closed_form_route_matches_the_ladder(accurate, drive):
+    s, pair = drive
+    for loop in (s, fields.reversed_schedule(s)):
+        for psi in (pair.psi_plus, pair.psi_minus):
+            routed = phases.decompose_loop(loop, psi, accurate, with_unitary=True)
+            ladder = phases.decompose(loop, psi, accurate, with_unitary=True)
+            assert routed.route == "rotating_frame" and ladder.route == "cf4_ladder"
+            # the bounds of the verify rows route_vs_ladder_*
+            assert np.max(np.abs(routed.unitary - ladder.unitary)) <= 1e-9
+            bound = 10.0 * accurate.tolerance + 1e-11 * abs(ladder.dynamical)
+            assert angle_dist(routed.total, ladder.total) <= bound
+            assert abs(routed.dynamical - ladder.dynamical) <= bound
+            assert angle_dist(routed.geometric, ladder.geometric) <= bound
+            assert routed.valid and routed.cyclicity_defect <= 1e-12
