@@ -6,6 +6,12 @@ in-code fallbacks for them, so every exported figure is reproducible from
 its config alone.  Only numerical knobs (step counts, tolerance, refinement
 cap) carry defaults, and those can be overridden per run.
 
+The loader only parses: the parameter classes it builds own every drive
+rule, and their ValueError becomes a ConfigError prefixed with the section
+and key.  A loop grid is checked by building its fastest and slowest loop.
+Only rules with no parameter counterpart (grid domains, a positive
+``[fig1] omega0``, ``field_samples >= 16``) are written here.
+
 The packaged ``configs/default.ini`` documents every key.
 """
 
@@ -19,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .evolve import PropagatorConfig
+from .fields import JosephsonParams, NmrParams
 
 __all__ = [
     "ConfigError",
@@ -72,6 +79,13 @@ class Fig1Config:
     coupling_j: float
     tau_grid: GridSpec
 
+    def params(self, ratio, variant, delta=0) -> NmrParams:
+        """Drive of the loop at tau / tau0 = ratio: omega = omega0 / ratio,
+        with omega1 = omega1_a * J (variant 'a') or J - omega (variant 'b')."""
+        omega = self.omega0 / ratio
+        omega1 = self.omega1_a * self.coupling_j if variant == "a" else self.coupling_j - omega
+        return NmrParams(self.omega0, omega1, omega, self.coupling_j, delta)
+
 
 @dataclass(frozen=True)
 class Fig2Config:
@@ -85,6 +99,12 @@ class Fig2Config:
     tau_grid: GridSpec
     field_tau_over_tau0: float
     field_samples: int = 4096
+
+    def params(self, cos_chi0, omega) -> JosephsonParams:
+        """Drive at the cone angle arccos(cos_chi0) and frequency omega."""
+        return JosephsonParams.from_cos_chi0(
+            cos_chi0, e1=self.e1, e2=self.e2, e_ch=self.e_ch, omega=omega
+        )
 
 
 @dataclass(frozen=True)
@@ -109,6 +129,11 @@ class VerifyConfig:
     block_tau_over_tau0: tuple
     rotation_angles: tuple
 
+    def cone(self, chi) -> NmrParams:
+        """Unit-frequency rotating drive of field scale b on the cone chi."""
+        b = self.field_scale
+        return NmrParams(omega0=b * np.sin(chi), omega1=b * np.cos(chi) - 1.0, omega=1.0)
+
 
 @dataclass(frozen=True)
 class Config:
@@ -127,10 +152,7 @@ class Config:
             kw["tolerance"] = float(tol)
         if not kw:
             return self
-        try:
-            prop = replace(self.propagator, **kw)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        prop = _built("--steps/--tol:", replace, self.propagator, **kw)
         return replace(self, propagator=prop)
 
 
@@ -146,8 +168,7 @@ def _require(cp, section, key):
     return cp.get(section, key)
 
 
-def _require_float(cp, section, key):
-    raw = _require(cp, section, key)
+def _number(raw, section, key):
     try:
         value = float(raw)
     except ValueError as exc:
@@ -155,6 +176,10 @@ def _require_float(cp, section, key):
     if not np.isfinite(value):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
     return value
+
+
+def _require_float(cp, section, key):
+    return _number(_require(cp, section, key), section, key)
 
 
 def _require_int(cp, section, key):
@@ -166,40 +191,49 @@ def _require_int(cp, section, key):
 
 
 def _grid(cp, section, prefix, default_scale="log"):
-    scale = cp.get(section, f"{prefix}_scale", fallback=default_scale)
-    try:
-        return GridSpec(
-            lo=_require_float(cp, section, f"{prefix}_min"),
-            hi=_require_float(cp, section, f"{prefix}_max"),
-            points=_require_int(cp, section, f"{prefix}_points"),
-            scale=scale,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {prefix} grid: {exc}") from exc
+    return GridSpec(
+        lo=_require_float(cp, section, f"{prefix}_min"),
+        hi=_require_float(cp, section, f"{prefix}_max"),
+        points=_require_int(cp, section, f"{prefix}_points"),
+        scale=cp.get(section, f"{prefix}_scale", fallback=default_scale),
+    )
 
 
-def _float_list(raw, section, key):
-    try:
-        vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number list") from exc
+def _float_list(cp, section, key):
+    raw = _require(cp, section, key)
+    vals = tuple(_number(tok, section, key) for tok in raw.replace(",", " ").split())
     if not vals:
         raise ConfigError(f"[{section}] {key} must not be empty")
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"[{section}] {key} = {raw!r} has a non-finite entry")
     return vals
 
 
-def _check_loops(where, slow, fast, lo, hi):
-    """ConfigError unless every loop runs at a positive finite drive
-    frequency rate / r with a finite period 2 pi r / rate, for every rate
-    in [slow, fast] and time ratio r in [lo, hi]."""
+def _built(where, make, *args, **kw):
+    """``make(*args, **kw)``; a ValueError becomes a ConfigError after ``where``."""
+    try:
+        return make(*args, **kw)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from exc
+
+
+def _fig1_loops(f: Fig1Config, where, lo, hi):
+    """Build the fastest (lo) and slowest (hi) loops of both variants and controls."""
     if not lo > 0.0:
         raise ConfigError(f"{where} must be positive, got {lo!r}")
-    if not (np.isfinite(fast / lo) and np.isfinite(2.0 * np.pi * (hi / slow))):
-        raise ConfigError(f"{where}: a loop's drive frequency or period overflows a float")
+    for ratio in (lo, hi):
+        for variant in ("a", "b"):
+            for delta in (0, 1):
+                _built(f"{where}:", f.params, ratio, variant, delta)
+
+
+def _fig2_loops(f: Fig2Config, where, lo, hi):
+    """Build the fastest and the slowest loop at tau / tau0 in [lo, hi], at
+    both cone angles.  A loop runs at omega = 2 pi <E_J> / (tau / tau0), and
+    the loop average <E_J> lies in [|e1 - e2|, e1 + e2]."""
+    if not lo > 0.0:
+        raise ConfigError(f"{where} must be positive, got {lo!r}")
+    for cos_chi0 in (f.cos_chi0, f.cos_chi0_inset):
+        _built(f"{where}:", f.params, cos_chi0, 2.0 * np.pi * (f.e1 + f.e2) / lo)
+        _built(f"{where}:", f.params, cos_chi0, 2.0 * np.pi * abs(f.e1 - f.e2) / hi)
 
 
 def _propagator(cp) -> PropagatorConfig:
@@ -212,10 +246,7 @@ def _propagator(cp) -> PropagatorConfig:
             kw["tolerance"] = _require_float(cp, sec, "tolerance")
         if cp.has_option(sec, "max_refinements"):
             kw["max_refinements"] = _require_int(cp, sec, "max_refinements")
-    try:
-        return PropagatorConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _built("[numerics]", PropagatorConfig, **kw)
 
 
 def load_config(path=None) -> Config:
@@ -245,8 +276,7 @@ def load_config(path=None) -> Config:
     )
     if fig1.omega0 <= 0.0:
         raise ConfigError("[fig1] omega0 must be positive")
-    # a loop at tau / tau0 = r runs at omega = omega0 / r
-    _check_loops("[fig1] tau grid", fig1.omega0, fig1.omega0, fig1.tau_grid.lo, fig1.tau_grid.hi)
+    _fig1_loops(fig1, "[fig1] tau grid", fig1.tau_grid.lo, fig1.tau_grid.hi)
 
     fig2 = Fig2Config(
         e1=_require_float(cp, "fig2", "e1"),
@@ -258,26 +288,14 @@ def load_config(path=None) -> Config:
         field_tau_over_tau0=_require_float(cp, "fig2", "field_tau_over_tau0"),
         field_samples=_require_int(cp, "fig2", "field_samples"),
     )
-    if not (fig2.e1 > 0.0 and fig2.e2 > 0.0):
-        raise ConfigError("[fig2] junction energies e1, e2 must be positive")
-    if fig2.e1 == fig2.e2:
-        raise ConfigError("[fig2] junction asymmetry required: e1 must differ from e2")
-    if not fig2.e_ch > 0.0:
-        raise ConfigError("[fig2] charging energy e_ch must be positive")
-    for name, c in (("cos_chi0", fig2.cos_chi0), ("cos_chi0_inset", fig2.cos_chi0_inset)):
-        if not -1.0 < c < 1.0:
-            raise ConfigError(f"[fig2] {name} must lie strictly inside (-1, 1)")
+    # the unit-speed loop whose junction energy the experiments average
+    _built("[fig2]", fig2.params, fig2.cos_chi0, 2.0 * np.pi)
+    _built("[fig2] cos_chi0_inset:", fig2.params, fig2.cos_chi0_inset, 2.0 * np.pi)
     if fig2.field_samples < 16:
         raise ConfigError("[fig2] field_samples must be at least 16")
-    e_plus = fig2.e1 + fig2.e2
-    if not np.isfinite(e_plus * e_plus):
-        raise ConfigError("[fig2] junction energies overflow a float: (e1 + e2)^2 is not finite")
-    # A loop at tau / tau0 = r runs at omega = 2 pi <E_J> / r, and the loop
-    # average <E_J> of the junction energy lies in [|e1 - e2|, e1 + e2].
-    rates = (2.0 * np.pi * abs(fig2.e1 - fig2.e2), 2.0 * np.pi * e_plus)
     ratio = fig2.field_tau_over_tau0
-    _check_loops("[fig2] field_tau_over_tau0", *rates, ratio, ratio)
-    _check_loops("[fig2] tau grid", *rates, fig2.tau_grid.lo, fig2.tau_grid.hi)
+    _fig2_loops(fig2, "[fig2] field_tau_over_tau0", ratio, ratio)
+    _fig2_loops(fig2, "[fig2] tau grid", fig2.tau_grid.lo, fig2.tau_grid.hi)
 
     sweep = SweepConfig(
         omega0=_require_float(cp, "sweep", "omega0"),
@@ -286,31 +304,36 @@ def load_config(path=None) -> Config:
         omega=_require_float(cp, "sweep", "omega"),
         detuning_grid=_grid(cp, "sweep", "detuning", default_scale="linear"),
     )
-    if sweep.omega <= 0.0:
-        raise ConfigError("[sweep] omega must be positive")
+    w0, w1, w = sweep.omega0, sweep.omega1_target, sweep.omega
+    for delta in (0, 1):
+        _built("[sweep]", NmrParams, w0, w1, w, sweep.coupling_j, delta)
+    # the decoupled control qubit's drive at the detuning grid's ends
+    for detuning in (sweep.detuning_grid.lo, sweep.detuning_grid.hi):
+        _built("[sweep] detuning grid:", NmrParams, w0, w1 + detuning, w)
 
     verify = VerifyConfig(
         chi_grid=_grid(cp, "verify", "chi", default_scale="linear"),
         field_scale=_require_float(cp, "verify", "field_scale"),
         josephson_omega=_require_float(cp, "verify", "josephson_omega"),
         oracle_grid=_grid(cp, "verify", "oracle"),
-        block_tau_over_tau0=_float_list(
-            _require(cp, "verify", "block_tau_over_tau0"), "verify", "block_tau_over_tau0"
-        ),
-        rotation_angles=_float_list(
-            _require(cp, "verify", "rotation_angles"), "verify", "rotation_angles"
-        ),
+        block_tau_over_tau0=_float_list(cp, "verify", "block_tau_over_tau0"),
+        rotation_angles=_float_list(cp, "verify", "rotation_angles"),
     )
     if verify.field_scale <= 0.0:
         raise ConfigError("[verify] field_scale must be positive")
-    if verify.josephson_omega <= 0.0:
-        raise ConfigError("[verify] josephson_omega must be positive")
     if not 0.0 < verify.chi_grid.lo <= verify.chi_grid.hi < np.pi:
         raise ConfigError("[verify] chi grid must lie strictly inside (0, pi)")
     if not verify.oracle_grid.lo > 0.0:
         raise ConfigError("[verify] oracle grid must be positive")
+    for chi in (verify.chi_grid.lo, verify.chi_grid.hi):
+        _built("[verify] field_scale:", verify.cone, chi)
+        cos_chi = float(np.cos(chi))
+        _built("[verify] josephson_omega:", fig2.params, cos_chi, verify.josephson_omega)
+    # the oracle drive grid's weakest and strongest corners
+    for corner in (verify.oracle_grid.lo, verify.oracle_grid.hi):
+        _built("[verify] oracle grid:", NmrParams, corner, corner, corner)
     r = verify.block_tau_over_tau0
-    _check_loops("[verify] block_tau_over_tau0", fig1.omega0, fig1.omega0, min(r), max(r))
+    _fig1_loops(fig1, "[verify] block_tau_over_tau0", min(r), max(r))
 
     return Config(
         propagator=_propagator(cp),

@@ -17,7 +17,7 @@ is the one reported.
 from __future__ import annotations
 
 import json
-import warnings
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import Config, ConfigError, Fig2Config
 from .csvio import table_to_json, write_json, write_table
-from .evolve import rotating_frame_oracle, time_grid, two_qubit_unitary
+from .evolve import rotating_frame_oracle, two_qubit_unitary
 from .fields import (
     JosephsonParams,
     NmrParams,
@@ -118,9 +118,7 @@ def fig1_sweep(cfg: Config, variant):
     def branch(r, delta):
         # one control branch per call, so that no decomposition (and its
         # Bloch path) outlives its branch
-        omega = f.omega0 / r
-        omega1 = f.omega1_a * f.coupling_j if variant == "a" else f.coupling_j - omega
-        p = NmrParams(omega0=f.omega0, omega1=omega1, omega=omega, j=f.coupling_j, delta=delta)
+        p = f.params(r, variant, delta)
         s = nmr_schedule(p)
         pair = cyclic_pair_nmr(p)
         d = decompose_loop(s, pair.psi_minus, cfg.propagator)
@@ -177,18 +175,12 @@ def run_fig1(cfg: Config, variant, out_dir, fmt="csv"):
 # charge-qubit drive (fig2)
 # ---------------------------------------------------------------------------
 
-def _josephson_params(f: Fig2Config, cos_chi0, omega) -> JosephsonParams:
-    return JosephsonParams(
-        e1=f.e1, e2=f.e2, e_ch=f.e_ch, chi0=float(np.arccos(cos_chi0)), omega=omega
-    )
-
-
 def ej_average(f: Fig2Config):
     """Loop average of the effective junction energy (drive-speed free).
 
     Composite Simpson rule on 4,096 uniform steps of one unit-length loop.
     """
-    p = _josephson_params(f, f.cos_chi0, 2.0 * np.pi)
+    p = f.params(f.cos_chi0, 2.0 * np.pi)
     us = np.linspace(0.0, 1.0, 4097)
     return float(_simpson(josephson_ej(p, us), us))
 
@@ -212,7 +204,7 @@ def fig2_field_trace(cfg: Config):
     f = cfg.fig2
     tau0 = tau0_candidates(f)["ej_avg"]
     tau = f.field_tau_over_tau0 * tau0
-    p = _josephson_params(f, f.cos_chi0, 2.0 * np.pi / tau)
+    p = f.params(f.cos_chi0, 2.0 * np.pi / tau)
     s = josephson_schedule(p)
     ts = np.linspace(0.0, tau, f.field_samples + 1)
     b = s.sample(ts)
@@ -271,11 +263,11 @@ def fig2c_sweep(cfg: Config, cos_chi0):
     t0 = tau0_candidates(f)
     ref = t0["ej_avg"]
     ratios = f.tau_grid.values()
-    chi0 = float(np.arccos(cos_chi0))
+    chi0 = f.params(cos_chi0, 2.0 * np.pi).chi0
 
     def point(r):
         tau = r * ref
-        p = _josephson_params(f, cos_chi0, 2.0 * np.pi / tau)
+        p = f.params(cos_chi0, 2.0 * np.pi / tau)
         s = josephson_schedule(p)
         pair = cyclic_pair_josephson(p)
         d = decompose_loop(s, pair.psi_plus, cfg.propagator)
@@ -283,14 +275,7 @@ def fig2c_sweep(cfg: Config, cos_chi0):
         dev = abs(ga - d.geometric) / abs(d.geometric)
         return tau, d.geometric, ga, dev, d.cyclicity_defect, d.route
 
-    rows = [point(r) for r in ratios]
-    taus = [row[0] for row in rows]
-    exact = [row[1] for row in rows]
-    adia = [row[2] for row in rows]
-    devs = [row[3] for row in rows]
-    defects = [row[4] for row in rows]
-    routes = [row[5] for row in rows]
-
+    taus, exact, adia, devs, defects, routes = zip(*(point(r) for r in ratios))
     taus = np.array(taus)
     tau_star = crossover_time(taus, devs)
     extras = {
@@ -483,35 +468,19 @@ def _spec_number(doc, key, default=None):
             raise ConfigError(f"gate spec: missing key {key!r}")
         return default
     value = doc[key]
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        ok = ok and np.isfinite(float(value))
-    except OverflowError:
-        ok = False
-    if not ok:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
         raise ConfigError(f"gate spec: {key} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _finite_field(s):
-    """``s``, once |B|^2 (the sum the step exponentials form) is finite at
-    every point of the coarsest step grid; ConfigError otherwise."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        b2 = np.sum(np.square(s.sample(time_grid(s, 16))), axis=-1)
-    if not np.all(np.isfinite(b2)):
-        raise ConfigError(f"gate spec: the drive field overflows a float: {s.label}")
-    return s
 
 
 def _gate_inputs(doc):
     """Schedule, cyclic pair and reversal rule name of a gate spec.
 
-    Every value is checked before any propagation: drive parameters are
-    finite JSON numbers, ``delta`` is the integer 0 or 1, ``cos_chi0``
-    lies strictly inside (-1, 1) and ``reversal`` names a rule of
-    REVERSAL_RULES.  Violations, drive parameters whose derived
-    quantities overflow a float, and a field whose squared magnitude
-    overflows on the 16-step grid raise ConfigError.
+    The reader only parses: drive parameters are finite JSON numbers,
+    ``delta`` is the integer 0 or 1 and ``reversal`` names a rule of
+    REVERSAL_RULES.  The drive rules are the params classes' own; their
+    ValueError becomes a ConfigError before any propagation.
     """
     reversal = doc.get("reversal", "negated_reversed")
     if not isinstance(reversal, str) or reversal not in REVERSAL_RULES:
@@ -531,36 +500,24 @@ def _gate_inputs(doc):
                 j=_spec_number(doc, "j", 0.0),
                 delta=delta,
             )
-            return _finite_field(nmr_schedule(p)), cyclic_pair_nmr(p), reversal
+            return nmr_schedule(p), cyclic_pair_nmr(p), reversal
         if platform == "josephson":
-            if doc.get("chi0") is not None:
-                chi0 = _spec_number(doc, "chi0")
-            else:
-                cos_chi0 = _spec_number(doc, "cos_chi0")
-                if not -1.0 < cos_chi0 < 1.0:
-                    raise ConfigError(
-                        f"gate spec: cos_chi0 must lie strictly inside (-1, 1), got {cos_chi0!r}"
-                    )
-                chi0 = float(np.arccos(cos_chi0))
-            p = JosephsonParams(
+            kw = dict(
                 e1=_spec_number(doc, "e1"),
                 e2=_spec_number(doc, "e2"),
                 e_ch=_spec_number(doc, "e_ch"),
-                chi0=chi0,
                 omega=_spec_number(doc, "omega"),
                 e_i=_spec_number(doc, "e_i", 0.0),
                 nxc=_spec_number(doc, "nxc", 0.0),
                 delta=delta,
             )
-            # overflow checks first, on a silent build: their error stands alone
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                _finite_field(josephson_schedule(p))
+            if doc.get("chi0") is not None:
+                p = JosephsonParams(chi0=_spec_number(doc, "chi0"), **kw)
+            else:
+                p = JosephsonParams.from_cos_chi0(_spec_number(doc, "cos_chi0"), **kw)
             return josephson_schedule(p), cyclic_pair_josephson(p), reversal
     except ValueError as exc:
         raise ConfigError(f"gate spec: {exc}") from exc
-    except OverflowError as exc:
-        raise ConfigError(f"gate spec: drive parameters overflow a float: {exc}") from exc
     raise ConfigError(f"gate spec: platform must be 'nmr' or 'josephson', got {platform!r}")
 
 

@@ -31,6 +31,7 @@ none.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -85,8 +86,7 @@ class FieldSchedule:
     ----------
     field : callable
         Maps c = cos wt and s = sin wt (floats or equal-shape arrays) to
-        field vectors of shape (..., 3).  Pure function; schedules are safe
-        to share across workers.
+        field vectors of shape (..., 3).  Pure function.
     omega : float
         Drive angular frequency w; the loop spans one period 2 pi / w.
     label : str
@@ -102,10 +102,7 @@ class FieldSchedule:
     frame: Frame | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.omega < np.inf:
-            raise ValueError(
-                f"schedule drive frequency must be positive and finite, got {self.omega}"
-            )
+        _check_omega(self.omega)
 
     @property
     def period(self):
@@ -118,6 +115,28 @@ class FieldSchedule:
         return self.field(np.cos(wt), np.sin(wt))
 
 
+def _check_omega(omega):
+    """ValueError unless omega > 0 and omega and the period 2 pi / omega are finite."""
+    if not omega > 0.0:
+        raise ValueError(f"the drive frequency omega must be positive, got {omega:g}")
+    period = 2.0 * math.pi / float(omega)
+    if not (math.isfinite(omega) and math.isfinite(period)):
+        raise ValueError(
+            f"the drive frequency or period overflows a float: omega = {omega:g} "
+            f"gives the period 2 pi / omega = {period:g}"
+        )
+
+
+def _check_finite(params, field, *b2):
+    """ValueError unless every value of ``params`` is finite, and so is
+    every squared field |B|^2 in ``b2``, the sum the steppers form."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not all(map(math.isfinite, b2)):
+        raise ValueError(f"the drive field overflows a float: {field} is not finite")
+
+
 @dataclass(frozen=True)
 class NmrParams:
     """Rotating-frame drive parameters, all in energy units (hbar = 1).
@@ -127,6 +146,8 @@ class NmrParams:
     omega  : drive angular frequency (> 0); loop period is 2*pi/omega
     j      : zz coupling strength to the spectator (control) qubit
     delta  : control-qubit basis state in {0, 1} for conditional drives
+
+    The period and the squared lab and rotating-frame fields are finite too.
     """
 
     omega0: float
@@ -136,12 +157,14 @@ class NmrParams:
     delta: int = 0
 
     def __post_init__(self):
+        _check_omega(self.omega)
         if self.omega0 < 0.0:
             raise ValueError(f"omega0 must be non-negative, got {self.omega0}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
         if self.delta not in (0, 1):
             raise ValueError(f"delta must be 0 or 1, got {self.delta}")
+        w0, z, w = float(self.omega0), float(self.z_effective), float(self.omega)
+        field = "omega0^2 + z^2 or the rotating-frame omega0^2 + (z + omega)^2"
+        _check_finite(self, field, w0 * w0 + z * z, w0 * w0 + (z + w) * (z + w))
 
     @property
     def tau(self):
@@ -164,6 +187,8 @@ class JosephsonParams:
     omega  : drive angular frequency (> 0)
     nxc    : control-qubit offset charge entering the conditional shift
     delta  : control-qubit basis state in {0, 1}
+
+    The period, (e1 + e2)^2 and the squared field are finite too.
     """
 
     e1: float
@@ -176,6 +201,7 @@ class JosephsonParams:
     delta: int = 0
 
     def __post_init__(self):
+        _check_omega(self.omega)
         if not (self.e1 > 0.0 and self.e2 > 0.0):
             raise ValueError("junction energies e1, e2 must be positive")
         if not self.e_ch > 0.0:
@@ -184,10 +210,29 @@ class JosephsonParams:
             raise ValueError("junction asymmetry required: e1 must differ from e2")
         if not 0.0 < self.chi0 < np.pi:
             raise ValueError(f"chi0 must lie strictly inside (0, pi), got {self.chi0}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
         if self.delta not in (0, 1):
             raise ValueError(f"delta must be 0 or 1, got {self.delta}")
+        e_plus = float(self.e_plus)
+        if not math.isfinite(e_plus * e_plus):
+            raise ValueError(
+                "drive parameters overflow a float: the junction energies overflow "
+                "a float in (e1 + e2)^2"
+            )
+        # |B|^2 = E_J^2 + (E_J cot chi0 + omega + d)^2 peaks at an end of
+        # the junction energy's range [|e1 - e2|, e1 + e2]
+        cot0 = math.cos(self.chi0) / math.sin(self.chi0)
+        z0 = float(self.omega) + self.e_i * (self.nxc - self.delta)
+        e_lo = abs(float(self.e_minus))
+        z_lo, z_hi = e_lo * cot0 + z0, e_plus * cot0 + z0
+        b2 = (e_lo * e_lo + z_lo * z_lo, e_plus * e_plus + z_hi * z_hi)
+        _check_finite(self, "|B|^2 over the loop", *b2)
+
+    @classmethod
+    def from_cos_chi0(cls, cos_chi0, **kw) -> "JosephsonParams":
+        """Params at chi0 = arccos(cos_chi0), with cos_chi0 strictly inside (-1, 1)."""
+        if not -1.0 < cos_chi0 < 1.0:
+            raise ValueError(f"cos_chi0 must lie strictly inside (-1, 1), got {cos_chi0!r}")
+        return cls(chi0=float(np.arccos(cos_chi0)), **kw)
 
     @property
     def e_plus(self):
@@ -226,7 +271,7 @@ def nmr_schedule(p: NmrParams) -> FieldSchedule:
     label = f"nmr(omega0={p.omega0:g}, z={z:g}, omega={p.omega:g})"
     m = float(np.hypot(omega0, z + p.omega))
     frame = None
-    if 0.0 < m < np.inf:  # a zero or overflowing field has no axis
+    if m > 0.0:  # a zero field has no axis
         axis = np.array([omega0, 0.0, z + p.omega]) / m
         frame = Frame(+1, axis, lambda c, s: np.full(np.shape(c), m))
     return FieldSchedule(field=field, omega=p.omega, label=label, frame=frame)

@@ -189,13 +189,7 @@ def check_route_vs_ladder(cfg: Config):
     nmr = []
     for r in (ratios[0], ratios[len(ratios) // 2], ratios[-1]):
         for delta in (0, 1):
-            p = NmrParams(
-                omega0=f.omega0,
-                omega1=f.omega1_a * f.coupling_j,
-                omega=f.omega0 / r,
-                j=f.coupling_j,
-                delta=delta,
-            )
+            p = f.params(r, "a", delta)
             nmr.append((nmr_schedule(p), phases.cyclic_pair_nmr(p)))
     charge = []
     for r in (3.0, 10.0, 30.0, cfg.fig2.tau_grid.values()[-1]):
@@ -208,21 +202,15 @@ def check_route_vs_ladder(cfg: Config):
 # cyclicity
 # ---------------------------------------------------------------------------
 
-def _nmr_reference(cfg: Config, ratio=4.0, delta=None) -> NmrParams:
-    f = cfg.fig1
-    return NmrParams(
-        omega0=f.omega0,
-        omega1=f.omega1_a * f.coupling_j,
-        omega=f.omega0 / ratio,
-        j=0.0 if delta is None else f.coupling_j,
-        delta=0 if delta is None else delta,
-    )
+def _nmr_reference(cfg: Config) -> NmrParams:
+    """The uncoupled ``[fig1]`` variant-a drive at tau / tau0 = 4."""
+    return replace(cfg.fig1.params(4.0, "a"), j=0.0)
 
 
 def _josephson_reference(cfg: Config, ratio=10.0):
     f = cfg.fig2
     tau = ratio * experiments.tau0_candidates(f)["ej_avg"]
-    return experiments._josephson_params(f, f.cos_chi0, 2.0 * np.pi / tau)
+    return f.params(f.cos_chi0, 2.0 * np.pi / tau)
 
 
 def check_cyclicity(cfg: Config):
@@ -264,13 +252,6 @@ def check_cyclicity(cfg: Config):
 # one-loop phase law
 # ---------------------------------------------------------------------------
 
-def _nmr_cone(cfg: Config, chi) -> NmrParams:
-    b = cfg.verify.field_scale
-    return NmrParams(
-        omega0=b * np.sin(chi), omega1=b * np.cos(chi) - 1.0, omega=1.0
-    )
-
-
 def _pair_geometric(s, pair, prop):
     """Geometric phases of both pair members, from one ladder."""
     d_plus, d_minus = phases.decompose(s, [pair.psi_plus, pair.psi_minus], prop)
@@ -293,7 +274,7 @@ def check_loop_phase_law(cfg: Config):
 
     worst = 0.0
     for i, chi in enumerate(chis):
-        p = _nmr_cone(cfg, chi)
+        p = cfg.verify.cone(chi)
         s = nmr_schedule(p)
         pair = phases.cyclic_pair_nmr(p)
         law = phases.loop_phase(chi)
@@ -306,7 +287,7 @@ def check_loop_phase_law(cfg: Config):
     f = cfg.fig2
     worst = 0.0
     for i, chi in enumerate(chis):
-        jp = experiments._josephson_params(f, float(np.cos(chi)), cfg.verify.josephson_omega)
+        jp = f.params(float(np.cos(chi)), cfg.verify.josephson_omega)
         js = experiments.josephson_schedule(jp)
         jpair = phases.cyclic_pair_josephson(jp)
         d_plus = phases.decompose(js, jpair.psi_plus, prop)
@@ -475,11 +456,7 @@ def check_echo_cancellation(cfg: Config):
     phase-aligned entry deviation, which is ill-conditioned when the
     trace is near 0 (the charge drive's doubled target is traceless)."""
     out = []
-    f = cfg.fig1
-    omega = f.omega0 / 4.0
-    p = NmrParams(
-        omega0=f.omega0, omega1=f.coupling_j - omega, omega=omega, j=f.coupling_j, delta=0
-    )
+    p = cfg.fig1.params(4.0, "b")
     runs = [
         ("rotating_drive", nmr_schedule(p), phases.cyclic_pair_nmr(p)),
     ]
@@ -607,11 +584,7 @@ def check_block_exactness(cfg: Config):
     runs = 0
     for variant in ("a", "b"):
         for r in cfg.verify.block_tau_over_tau0:
-            omega = f.omega0 / r
-            omega1 = f.omega1_a * f.coupling_j if variant == "a" else f.coupling_j - omega
-            p = NmrParams(
-                omega0=f.omega0, omega1=omega1, omega=omega, j=f.coupling_j
-            )
+            p = f.params(r, variant)
             model = nmr_two_qubit(p, omega1_control=3.0 * f.coupling_j)
             u = two_qubit_unitary(model)
             for delta in (0, 1):

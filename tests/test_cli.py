@@ -375,6 +375,43 @@ def test_bad_fig2_ini_exits_two_with_one_line(tmp_path, fast_ini, command, edits
     assert "Traceback" not in run.stderr
 
 
+_PERIOD_OVERFLOW = "period 2 pi / omega = inf"
+
+
+@pytest.mark.parametrize(
+    "command, section, edits, spec, message",
+    [
+        # the rotating-frame field (omega0, 0, z + omega) overflows in |B'|^2
+        ("sweep", "sweep", {"omega": "1e300"}, None, "[sweep] the drive field overflows a float"),
+        ("sweep", "sweep", {"omega": "1e-320"}, None, _PERIOD_OVERFLOW),
+        ("sweep", "sweep", {"omega0": "1e200"}, None, "[sweep] the drive field overflows a float"),
+        ("verify", "verify", {"josephson_omega": "1e-320"}, None, _PERIOD_OVERFLOW),
+        ("gate", "fig1", {}, dict(_NMR_SPEC, omega=1e-320), _PERIOD_OVERFLOW),
+        ("gate", "fig1", {}, dict(_CHARGE_SPEC, omega=1e-320), _PERIOD_OVERFLOW),
+    ],
+    ids=[
+        "sweep-fast-drive", "sweep-slow-drive", "sweep-strong-drive", "verify-slow-charge-drive",
+        "slow-nmr-gate", "slow-charge-gate",
+    ],
+)
+def test_overflowing_drives_exit_two_with_one_line(
+    tmp_path, fast_ini, command, section, edits, spec, message
+):
+    # A fresh interpreter, so a numerical warning ahead of the error would
+    # show on stderr.
+    ini = _capped_copy(fast_ini, tmp_path / "bad.ini", section, edits)
+    args = [command, "--config", str(ini), "--out", str(tmp_path / "out")]
+    if spec is not None:
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps(spec))
+        args.insert(1, str(path))
+    run = _run_python("-m", "geomgates.cli", *args)
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1
+    assert message in run.stderr
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+
+
 @pytest.mark.parametrize(
     "command, section, edits, message",
     [
@@ -464,6 +501,7 @@ def capped_ini(tmp_path_factory):
     return path
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(base=st.sampled_from([_NMR_SPEC, _CHARGE_SPEC]), mutations=_MUTATIONS)
 # e_minus**2 of Python floats raised OverflowError out of cyclic_pair_josephson
@@ -544,11 +582,16 @@ _INI_MUTATION = st.one_of(
 )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(
     command=st.sampled_from(["fig1a", "fig1b", "fig2b", "fig2c", "sweep", "verify"]),
     mutations=st.lists(_INI_MUTATION, min_size=1, max_size=3),
 )
+# [sweep] drives whose period or squared field overflows a float
+@example(command="sweep", mutations=[("sweep", "omega", "1e300")])
+@example(command="sweep", mutations=[("sweep", "omega", "1e-320")])
+@example(command="sweep", mutations=[("sweep", "omega0", "1e200")])
 def test_mutated_ini_exits_cleanly(tmp_path_factory, command, mutations):
     cp = configparser.ConfigParser()
     cp.read(default_config_path())

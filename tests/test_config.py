@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from geomgates import config
+from geomgates import config, experiments
 
 
 def _write_modified(tmp_path, mutate):
@@ -166,3 +166,44 @@ def test_config_round_trips_through_copy(tmp_path, cfg):
     assert again.fig2 == cfg.fig2
     assert again.sweep == cfg.sweep
     assert again.verify == cfg.verify
+
+
+_NMR_SPEC = {"platform": "nmr", "omega0": 7.75, "omega1": 0.8, "omega": 1.94}
+_CHARGE_SPEC = {
+    "platform": "josephson", "e1": 1.5625, "e2": 6.25, "e_ch": 39.0625,
+    "cos_chi0": 0.8, "omega": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "section, edits, ini_prefix, spec",
+    [
+        ("fig2", {"e2": "1.5625"}, "[fig2] ", dict(_CHARGE_SPEC, e2=1.5625)),
+        ("fig2", {"e_ch": "-39.0"}, "[fig2] ", dict(_CHARGE_SPEC, e_ch=-39.0)),
+        ("fig2", {"cos_chi0": "2"}, "[fig2] ", dict(_CHARGE_SPEC, cos_chi0=2)),
+        ("fig2", {"e1": "1e300"}, "[fig2] ", dict(_CHARGE_SPEC, e1=1e300)),
+        ("sweep", {"omega": "1e-320"}, "[sweep] ", dict(_NMR_SPEC, omega=1e-320)),
+        (
+            "verify", {"josephson_omega": "1e-320"}, "[verify] josephson_omega: ",
+            dict(_CHARGE_SPEC, omega=1e-320),
+        ),
+    ],
+    ids=[
+        "symmetric-junction", "charging-energy", "cos-chi0", "junction-overflow",
+        "nmr-period-overflow", "charge-period-overflow",
+    ],
+)
+def test_each_drive_rule_reads_the_same_through_both_readers(
+    tmp_path, section, edits, ini_prefix, spec
+):
+    def mutate(cp):
+        for key, value in edits.items():
+            cp.set(section, key, value)
+
+    with pytest.raises(config.ConfigError) as ini:
+        config.load_config(_write_modified(tmp_path, mutate))
+    with pytest.raises(config.ConfigError) as gate:
+        experiments._gate_inputs(spec)
+    ini_msg, gate_msg = str(ini.value), str(gate.value)
+    assert ini_msg.startswith(ini_prefix) and gate_msg.startswith("gate spec: ")
+    assert ini_msg[len(ini_prefix):] == gate_msg[len("gate spec: "):]

@@ -179,6 +179,8 @@ def test_undriven_control_has_no_transverse_field():
 
 
 def test_nmr_params_validation():
+    # verify's zero_field_identity row propagates this drive
+    fields.NmrParams(omega0=0.0, omega1=0.0, omega=1.0)
     with pytest.raises(ValueError):
         fields.NmrParams(omega0=1.0, omega1=1.0, omega=0.0)
     with pytest.raises(ValueError):
@@ -195,7 +197,50 @@ def test_josephson_params_validation():
             fields.JosephsonParams(e1=1.0, e2=2.0, e_ch=e_ch, chi0=0.5, omega=1.0)
 
 
-@pytest.mark.parametrize("omega", [0.0, -1.3, float("inf"), float("nan")])
+# 1e-320 is positive and finite, but its period 2 pi / omega overflows
+@pytest.mark.parametrize("omega", [0.0, -1.3, float("inf"), float("nan"), 1e-320])
 def test_schedule_needs_a_positive_finite_drive_frequency(omega):
     with pytest.raises(ValueError, match="drive frequency"):
         fields.FieldSchedule(field=fields.nmr_schedule(P).field, omega=omega, label="bad")
+
+
+_NMR_KW = dict(omega0=2.0, omega1=0.7, omega=1.3, j=0.4)
+_CHARGE_KW = dict(e1=1.5625, e2=6.25, e_ch=39.0625, chi0=0.7, omega=0.9, e_i=0.5, nxc=0.2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "cls, kw, name",
+    [(fields.NmrParams, _NMR_KW, name) for name in _NMR_KW]
+    + [(fields.JosephsonParams, _CHARGE_KW, name) for name in _CHARGE_KW],
+)
+def test_params_reject_non_finite_values(cls, kw, name, bad):
+    cls(**kw)
+    with pytest.raises(ValueError):
+        cls(**dict(kw, **{name: bad}))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: fields.NmrParams(omega0=2.0, omega1=0.7, omega=1e-320), "period"),
+        (lambda: fields.NmrParams(omega0=1e200, omega1=0.7, omega=1.3), "drive field"),
+        # the rotating-frame field omega0^2 + (z + omega)^2 overflows
+        (lambda: fields.NmrParams(omega0=2.0, omega1=0.7, omega=1e300), "drive field"),
+        (lambda: replace(JP, e1=1e300), "junction energies overflow"),
+        (lambda: replace(JP, omega=1e300), "drive field"),
+        (lambda: replace(JP, chi0=1e-300), "drive field"),
+        (lambda: fields.JosephsonParams.from_cos_chi0(1.0, e1=1.0, e2=2.0, e_ch=9.0, omega=1.0),
+         "cos_chi0 must lie strictly inside"),
+    ],
+    ids=["nmr-period", "nmr-lab-field", "nmr-frame-field", "junction", "charge-field",
+         "charge-cone", "cos-chi0"],
+)
+def test_params_reject_overflowing_drives(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_cone_angle_conversion_matches_arccos():
+    p = fields.JosephsonParams.from_cos_chi0(0.75, e1=1.5625, e2=6.25, e_ch=39.0625, omega=0.9)
+    assert p.chi0 == float(np.arccos(0.75))
