@@ -25,13 +25,18 @@ Both builders' unshifted drives are fixed-axis fields in the frame that
 rotates with the drive, and say so in a ``Frame``:
 B = R_z(w wt)(m n) - w omega z-hat, with winding w = +-1, a fixed unit
 axis n and the magnitude m(c, s) = |B'|.  The sign-flipped retrace maps
-the frame; every other transform, and a z-shifted charge drive, has
-none.
+every frame.  Sign flip and retrace alone map a frame whose magnitude is
+constant (the NMR drive's): the field at t = 0, b = m n - w omega z-hat,
+keeps its turning sense under the flip and reverses it under the
+retrace, so the new rotating-frame field stays fixed.  A charge drive's
+m varies over the loop, so those two transforms leave its frame field
+turning and keep none; nor does a rotation or a z-shifted charge drive.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -69,6 +74,10 @@ class Frame:
     winding : +1 for a counterclockwise loop, -1 for a clockwise one
     axis : unit 3-vector n, the rotating-frame field direction
     magnitude : maps c = cos wt and s = sin wt to m = |B'| >= 0
+    constant : m when it is the same at every drive angle, else None.
+        Only such a frame survives ``negated_schedule`` and
+        ``time_reversed_schedule``, and only on it does a state off the
+        axis get the closed-form phase split (``phases.decompose_loop``).
 
     Frames compare and hash by identity, so schedules stay hashable.
     """
@@ -76,6 +85,33 @@ class Frame:
     winding: int
     axis: np.ndarray
     magnitude: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    constant: float | None = None
+
+
+def _constant_frame(winding, field):
+    """Frame of the constant rotating-frame field ``field`` = m n, or None
+    when that field vanishes: a zero field has no axis."""
+    x, y, z = map(float, field)
+    m = float(np.hypot(np.hypot(x, y), z))
+    if not m > 0.0:
+        return None
+    return Frame(winding, np.array([x, y, z]) / m, lambda c, s: np.full(np.shape(c), m), m)
+
+
+def _flipped_frame(s: "FieldSchedule", sign):
+    """Frame of the drive whose field at t = 0 is sign * b, winding the
+    other way when sign = +1 and the same way when sign = -1.
+
+    With b = m n - w omega z-hat, that drive's lab field is
+    R_z(-sign w wt)(sign b), so its rotating-frame field is
+    sign (m n - 2 w omega z-hat): fixed when m is.  None when m varies.
+    """
+    frame = s.frame
+    if frame is None or frame.constant is None:
+        return None
+    w = frame.winding
+    field = frame.constant * frame.axis - np.array([0.0, 0.0, 2.0 * w * s.omega])
+    return _constant_frame(-sign * w, sign * field)
 
 
 @dataclass(frozen=True)
@@ -188,7 +224,8 @@ class JosephsonParams:
     nxc    : control-qubit offset charge entering the conditional shift
     delta  : control-qubit basis state in {0, 1}
 
-    The period, (e1 + e2)^2 and the squared field are finite too.
+    The period, (e1 + e2)^2 and the squared field are finite too, and
+    (e1 - e2)^2 is a normal float, so E_J never reads 0/0.
     """
 
     e1: float
@@ -217,6 +254,14 @@ class JosephsonParams:
             raise ValueError(
                 "drive parameters overflow a float: the junction energies overflow "
                 "a float in (e1 + e2)^2"
+            )
+        # E_J divides by a mix of (e1 - e2)^2 and (e1 + e2)^2; it needs the
+        # smaller one to be a normal float, not 0 or a denormal
+        e_minus = float(self.e_minus)
+        if not e_minus * e_minus >= sys.float_info.min:
+            raise ValueError(
+                "drive parameters underflow a float: the junction energies underflow "
+                f"a float in (e1 - e2)^2 = {e_minus * e_minus:g}"
             )
         # |B|^2 = E_J^2 + (E_J cot chi0 + omega + d)^2 peaks at an end of
         # the junction energy's range [|e1 - e2|, e1 + e2]
@@ -269,11 +314,7 @@ def nmr_schedule(p: NmrParams) -> FieldSchedule:
         return out
 
     label = f"nmr(omega0={p.omega0:g}, z={z:g}, omega={p.omega:g})"
-    m = float(np.hypot(omega0, z + p.omega))
-    frame = None
-    if m > 0.0:  # a zero field has no axis
-        axis = np.array([omega0, 0.0, z + p.omega]) / m
-        frame = Frame(+1, axis, lambda c, s: np.full(np.shape(c), m))
+    frame = _constant_frame(+1, (omega0, 0.0, z + p.omega))
     return FieldSchedule(field=field, omega=p.omega, label=label, frame=frame)
 
 
@@ -369,9 +410,11 @@ def rotation_about_y(angle):
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def _map_field(s: FieldSchedule, f, label) -> FieldSchedule:
+def _map_field(s: FieldSchedule, f, label, frame=None) -> FieldSchedule:
     """Apply a pointwise linear map to the field."""
-    return FieldSchedule(field=lambda c, sn: f(s.field(c, sn)), omega=s.omega, label=label)
+    return FieldSchedule(
+        field=lambda c, sn: f(s.field(c, sn)), omega=s.omega, label=label, frame=frame
+    )
 
 
 def rotate_schedule(s: FieldSchedule, dchi) -> FieldSchedule:
@@ -381,17 +424,26 @@ def rotate_schedule(s: FieldSchedule, dchi) -> FieldSchedule:
 
 
 def negated_schedule(s: FieldSchedule) -> FieldSchedule:
-    """Sign-flipped field, same traversal order."""
-    return _map_field(s, lambda b: -b, f"negated[{s.label}]")
+    """Sign-flipped field, same traversal order.
+
+    A constant-magnitude frame (w, n, m) maps to the same winding and the
+    rotating-frame field -m n + 2 w omega z-hat; any other frame to None.
+    """
+    return _map_field(s, lambda b: -b, f"negated[{s.label}]", _flipped_frame(s, -1))
 
 
 def time_reversed_schedule(s: FieldSchedule) -> FieldSchedule:
     """Retrace one loop backwards without flipping the field sign.
 
     B'(t) = B(tau - t): the drive angle 2 pi - wt, so the field at (c, -s).
+    A constant-magnitude frame (w, n, m) maps to the winding -w and the
+    rotating-frame field m n - 2 w omega z-hat; any other frame to None.
     """
     return FieldSchedule(
-        field=lambda c, sn: s.field(c, -sn), omega=s.omega, label=f"time_reversed[{s.label}]"
+        field=lambda c, sn: s.field(c, -sn),
+        omega=s.omega,
+        label=f"time_reversed[{s.label}]",
+        frame=_flipped_frame(s, +1),
     )
 
 
@@ -405,7 +457,7 @@ def reversed_schedule(s: FieldSchedule) -> FieldSchedule:
     frame = s.frame
     if frame is not None:
         m = frame.magnitude
-        frame = Frame(-frame.winding, -frame.axis, lambda c, sn: m(c, -sn))
+        frame = Frame(-frame.winding, -frame.axis, lambda c, sn: m(c, -sn), frame.constant)
     return FieldSchedule(
         field=lambda c, sn: -s.field(c, -sn),
         omega=s.omega,

@@ -10,7 +10,8 @@ Bloch path.
 
 ``decompose`` runs the CF4 ladder on any loop; ``decompose_loop``, which
 the figures, gates and eigenblock angles call, takes the closed form when
-the loop has a rotating frame and starts on its axis.  The closed form's
+the loop has a rotating frame and either starts on its axis or has a
+constant frame magnitude.  The closed form's
 geometric phase equals the loop law by its algebra, so ``verify`` keeps
 the ladder as its reference and holds the closed form to it.
 
@@ -52,7 +53,8 @@ __all__ = [
 _POLE_EPS = 1e-7
 
 # A start state lies on a frame axis n when its Bloch vector is within this
-# distance (largest component) of +n or -n; other states take the ladder.
+# distance (largest component) of +n or -n; other states take the ladder
+# unless the frame's magnitude is constant.
 _AXIS_ATOL = 1e-12
 
 # The two routes of ``decompose_loop``, as recorded on their results.
@@ -294,22 +296,33 @@ def decompose_loop(
 ) -> PhaseDecomposition:
     """``decompose`` for one state (2,), in closed form where one exists.
 
-    When ``s`` has a rotating frame (w, n, m) and psi0's Bloch vector is
-    sigma n (sigma = +-1, within 1e-12), the one-period propagator is
+    When ``s`` has a rotating frame (w, n, m), the one-period propagator is
     U = -exp(i (Phi/2) n . sigma) (``evolve._frame_unitary``), with
     Phi = tau <m> the field angle swept in the frame (Aharonov & Anandan,
-    PRL 58, 1593 (1987)), and psi0 gets
+    PRL 58, 1593 (1987)).  A state psi0 with Bloch vector sigma n
+    (sigma = +-1, within 1e-12) gets
 
         total = arg<psi0|U psi0>,
         dynamical = sigma (Phi - w 2 pi n_z) / 2,
         geometric = total - dynamical, reduced to (-pi, pi].
 
+    On a frame of constant magnitude m any other start r0 gets the same
+    total and geometric parts, and the dynamical phase (1/2) integral of
+    b . r(t) over the frame's precession of r0 about n, with
+    b = m n - w omega z-hat the field at t = 0:
+
+        dynamical = (1/2) [(n . r0)(Phi - w 2 pi n_z)
+                    - (w omega / m)(sin Phi z . r_perp
+                                    - (1 - cos Phi) z . (n x r0))],
+
+    with r_perp = r0 - (n . r0) n.  At r0 = sigma n it is the on-axis value.
     <m> is the periodic trapezoid rule on the ``cfg.steps_per_period``
     grid, spectrally accurate for a smooth periodic magnitude.  The result
     has route "rotating_frame" and no Bloch path.  The CF4 ladder
     (``decompose``) runs instead when the schedule has no frame, when psi0
-    lies off the axis, when the rule on the half grid moves Phi by more
-    than ``cfg.tolerance``, or when one ulp of Phi exceeds it: then
+    lies off the axis of a frame whose magnitude varies (the charge
+    drive), when the rule on the half grid moves Phi by more than
+    ``cfg.tolerance``, or when one ulp of Phi exceeds it: then
     Phi mod 2 pi has no digits, and the ladder reports the loop as not
     converged.
     """
@@ -341,7 +354,8 @@ def _frame_route(s: FieldSchedule, psi0, cfg):
         return None
     bloch = pauli.bloch_of_state(psi0)
     sigma = 1.0 if float(bloch @ frame.axis) >= 0.0 else -1.0
-    if float(np.max(np.abs(bloch - sigma * frame.axis))) > _AXIS_ATOL:
+    on_axis = float(np.max(np.abs(bloch - sigma * frame.axis))) <= _AXIS_ATOL
+    if not (on_axis or frame.constant is not None):
         return None
     grid, _ = evolve._phase_table(evolve._even(cfg.steps_per_period))
     m = frame.magnitude(grid[0, :-1], grid[1, :-1])
@@ -349,8 +363,16 @@ def _frame_route(s: FieldSchedule, psi0, cfg):
     half = s.period * float(np.mean(m[::2]))
     if not (np.spacing(phi) <= cfg.tolerance and abs(phi - half) <= cfg.tolerance):
         return None
-    u = evolve._frame_unitary(frame.winding, s.omega, frame.axis, phi, s.period)
-    return u, 0.5 * sigma * (phi - frame.winding * 2.0 * np.pi * float(frame.axis[2]))
+    w, n = frame.winding, frame.axis
+    u = evolve._frame_unitary(w, s.omega, n, phi, s.period)
+    axial = phi - w * 2.0 * np.pi * float(n[2])
+    if on_axis:
+        return u, 0.5 * sigma * axial
+    along = float(n @ bloch)
+    perp_z = float(bloch[2]) - along * float(n[2])
+    cross_z = float(n[0] * bloch[1] - n[1] * bloch[0])
+    turn = np.sin(phi) * perp_z - 2.0 * np.sin(0.5 * phi) ** 2 * cross_z
+    return u, 0.5 * (along * axial - w * s.omega / frame.constant * turn)
 
 
 def _nearest_fill(values, good):

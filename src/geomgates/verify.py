@@ -137,33 +137,44 @@ def _route_rows(tag, schedules, prop):
 
     ``schedules`` holds (schedule, cyclic pair) items; each schedule runs
     forward and as its ``reversed_schedule`` (the echo's second loop),
-    from both pair members.  The ladder is ``decompose`` with
-    ``with_unitary=True`` on the pair's stack.  A loop that did not take
-    the closed form fails both rows (measured inf).
+    from both pair members.
+    """
+    loops = [
+        (loop, (pair.psi_plus, pair.psi_minus))
+        for s, pair in schedules
+        for loop in (s, reversed_schedule(s))
+    ]
+    detail = f"{len(schedules)} loops and their reverses; both pair members"
+    return _held_to_ladder(tag, loops, prop, detail)
+
+
+def _held_to_ladder(tag, loops, prop, detail):
+    """The route rows over (loop, start states) items.
+
+    The ladder is ``decompose`` with ``with_unitary=True`` on each loop's
+    stack of start states.  A loop that did not take the closed form fails
+    both rows (measured inf).
     """
     worst_u = 0.0
     worst_phase, phase_bound = 0.0, 10.0 * prop.tolerance
     unrouted = []
-    for s, pair in schedules:
-        for loop in (s, reversed_schedule(s)):
-            members = (pair.psi_plus, pair.psi_minus)
-            ladder = phases.decompose(loop, np.stack(members), prop, with_unitary=True)
-            for psi, ref in zip(members, ladder):
-                d = phases.decompose_loop(loop, psi, prop, with_unitary=True)
-                if d.route != phases.ROUTE_FRAME:
-                    unrouted.append(loop.label)
-                    continue
-                worst_u = max(worst_u, float(np.max(np.abs(d.unitary - ref.unitary))))
-                # decompose's own bound: 10 tol + 1e-11 |phase|
-                bound = 10.0 * prop.tolerance + phases._QUAD_RTOL * abs(ref.dynamical)
-                for dev in (
-                    angle_dist(d.total, ref.total),
-                    abs(d.dynamical - ref.dynamical),
-                    angle_dist(d.geometric, ref.geometric),
-                ):
-                    if dev / bound > worst_phase / phase_bound:
-                        worst_phase, phase_bound = dev, bound
-    detail = f"{len(schedules)} loops and their reverses; both pair members"
+    for loop, members in loops:
+        ladder = phases.decompose(loop, np.stack(members), prop, with_unitary=True)
+        for psi, ref in zip(members, ladder):
+            d = phases.decompose_loop(loop, psi, prop, with_unitary=True)
+            if d.route != phases.ROUTE_FRAME:
+                unrouted.append(loop.label)
+                continue
+            worst_u = max(worst_u, float(np.max(np.abs(d.unitary - ref.unitary))))
+            # decompose's own bound: 10 tol + 1e-11 |phase|
+            bound = 10.0 * prop.tolerance + phases._QUAD_RTOL * abs(ref.dynamical)
+            for dev in (
+                angle_dist(d.total, ref.total),
+                abs(d.dynamical - ref.dynamical),
+                angle_dist(d.geometric, ref.geometric),
+            ):
+                if dev / bound > worst_phase / phase_bound:
+                    worst_phase, phase_bound = dev, bound
     if unrouted:
         worst_u = worst_phase = math.inf
         detail += f"; not on the closed-form route: {unrouted[0]}"
@@ -173,15 +184,31 @@ def _route_rows(tag, schedules, prop):
     ]
 
 
+def _control_loops(nmr, prop):
+    """The ``negated`` and ``time_reversed`` second loops of the echo on
+    each (schedule, cyclic pair), from the echo's mid state U1 psi_plus
+    and from a fixed state off the xz plane, where z . (n x r0) != 0."""
+    off_plane = state_of_angles(1.0, 0.5)
+    loops = []
+    for s, pair in nmr:
+        u1 = phases.decompose_loop(s, pair.psi_plus, prop, with_unitary=True).unitary
+        mid = pauli.normalize(u1 @ pair.psi_plus)
+        for rule in ("negated", "time_reversed"):
+            loops.append((gates.REVERSAL_RULES[rule](s), (mid, off_plane)))
+    return loops
+
+
 def check_route_vs_ladder(cfg: Config):
     """The closed-form route against the CF4 ladder on both platforms.
 
     Rotating drive: both ``fig1`` control branches (static z field) at the
     first, middle and last operation time of the ``[fig1]`` grid.  Charge
     drive: the ``[verify]`` reference loop (10 tau0) and 3, 30 and the
-    longest ``[fig2]`` operation time.  The phases row's bound is the one
-    ``decompose`` accepts a rung pair at; it is printed for the worst loop.
-    This is the charge platform's propagator oracle.
+    longest ``[fig2]`` operation time.  The rotating drive's control rows
+    run its ``negated`` and ``time_reversed`` loops from states off their
+    frame axes.  The phases row's bound is the one ``decompose`` accepts a
+    rung pair at; it is printed for the worst loop.  This is the charge
+    platform's propagator oracle.
     """
     prop = cfg.propagator
     f = cfg.fig1
@@ -195,7 +222,16 @@ def check_route_vs_ladder(cfg: Config):
     for r in (3.0, 10.0, 30.0, cfg.fig2.tau_grid.values()[-1]):
         jp = _josephson_reference(cfg, r)
         charge.append((experiments.josephson_schedule(jp), phases.cyclic_pair_josephson(jp)))
-    return _route_rows("rotating_drive", nmr, prop) + _route_rows("charge_drive", charge, prop)
+    controls = _control_loops(nmr, prop)
+    detail = (
+        f"{len(nmr)} negated and {len(nmr)} time-reversed loops; "
+        "the echo's mid state and a state off the xz plane"
+    )
+    return (
+        _route_rows("rotating_drive", nmr, prop)
+        + _route_rows("charge_drive", charge, prop)
+        + _held_to_ladder("rotating_drive_controls", controls, prop, detail)
+    )
 
 
 # ---------------------------------------------------------------------------

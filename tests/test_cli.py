@@ -412,6 +412,35 @@ def test_overflowing_drives_exit_two_with_one_line(
     assert "Traceback" not in run.stderr and "Warning" not in run.stderr
 
 
+_TINY_JUNCTIONS = {"e1": "1e-307", "e2": "4e-307", "e_ch": "5e-307", "tau_max": "2"}
+
+
+@pytest.mark.parametrize(
+    "command, edits, spec",
+    [
+        ("fig2c", _TINY_JUNCTIONS, None),
+        ("verify", _TINY_JUNCTIONS, None),
+        ("gate", {}, dict(_CHARGE_SPEC, e1=1e-170, e2=4e-170, e_ch=5e-170, cos_chi0=0.75,
+                          omega=1e-170)),
+    ],
+    ids=["fig2c", "verify", "gate"],
+)
+def test_underflowing_junction_energies_exit_two_with_one_line(tmp_path, command, edits, spec):
+    # (e1 - e2)^2 and (e1 + e2)^2 underflow to 0, so E_J would read 0/0;
+    # a fresh interpreter, so a numerical warning would show on stderr
+    ini = _capped_copy(default_config_path(), tmp_path / "tiny.ini", "fig2", edits)
+    args = [command, "--config", str(ini), "--out", str(tmp_path / "out")]
+    if spec is not None:
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps(spec))
+        args.insert(1, str(path))
+    run = _run_python("-m", "geomgates.cli", *args)
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1
+    assert "junction energies underflow a float" in run.stderr
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+
+
 @pytest.mark.parametrize(
     "command, section, edits, message",
     [

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from geomgates import fields, pauli
+from geomgates import evolve, fields, pauli
 from reference import control_field, h4, target_schedule
 
 P = fields.NmrParams(omega0=2.0, omega1=0.7, omega=1.3, j=0.4, delta=1)
@@ -239,6 +239,25 @@ def test_params_reject_non_finite_values(cls, kw, name, bad):
 def test_params_reject_overflowing_drives(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize(
+    "e1, e2, e_ch",
+    [(1e-307, 4e-307, 5e-307), (1e-170, 4e-170, 5e-170), (3e-160, 1e-160, 1e-150)],
+    ids=["subnormal-energies", "squares-to-zero", "difference-squared-denormal"],
+)
+def test_params_reject_underflowing_junction_energies(e1, e2, e_ch):
+    # (e1 - e2)^2 underflows, so E_J would read 0/0 or lose its digits
+    with pytest.raises(ValueError, match="junction energies underflow a float"):
+        fields.JosephsonParams.from_cos_chi0(0.75, e1=e1, e2=e2, e_ch=e_ch, omega=e1)
+
+
+def test_small_junction_energies_with_normal_squares_are_kept():
+    p = fields.JosephsonParams.from_cos_chi0(0.75, e1=2e-150, e2=1e-150, e_ch=1e-148, omega=1e-150)
+    (c, s), _ = evolve._phase_table(64)
+    ej = fields._josephson_ej(p, c, s)
+    assert np.all(np.isfinite(ej))
+    assert np.all((ej >= 0.999 * abs(p.e_minus)) & (ej <= 1.001 * p.e_plus))
 
 
 def test_cone_angle_conversion_matches_arccos():

@@ -314,3 +314,42 @@ def test_closed_form_route_matches_the_ladder(accurate, drive):
             assert abs(routed.dynamical - ladder.dynamical) <= bound
             assert angle_dist(routed.geometric, ladder.geometric) <= bound
             assert routed.valid and routed.cyclicity_defect <= 1e-12
+
+
+# chi = atan2(omega0, z + omega) below pi/2 (z + omega >= 0.5) and above it
+# (z + omega <= -0.5), with the coupling shift z = omega1 +- j
+framed_nmr = st.builds(
+    fields.NmrParams,
+    omega0=st.floats(0.3, 4.0),
+    omega1=st.one_of(st.floats(0.5, 3.0), st.floats(-7.0, -4.0)),
+    omega=st.floats(0.5, 3.0),
+    j=st.floats(-0.5, 0.5),
+    delta=st.integers(0, 1),
+)
+
+
+@given(
+    p=framed_nmr,
+    theta=st.floats(0.2, np.pi - 0.2),
+    # off the xz plane, where the z . (n x r0) term of the dynamical phase
+    # is nonzero: the echo's mid state cannot tell its sign
+    phi=st.one_of(st.floats(0.3, np.pi - 0.3), st.floats(-np.pi + 0.3, -0.3)),
+)
+def test_constant_frame_route_matches_the_ladder_from_any_state(accurate, p, theta, phi):
+    s, psi = fields.nmr_schedule(p), state_of_angles(theta, phi)
+    for loop in (
+        s,
+        fields.reversed_schedule(s),
+        fields.negated_schedule(s),
+        fields.time_reversed_schedule(s),
+    ):
+        routed = phases.decompose_loop(loop, psi, accurate, with_unitary=True)
+        ladder = phases.decompose(loop, psi, accurate, with_unitary=True)
+        assert routed.route == "rotating_frame" and ladder.route == "cf4_ladder"
+        # the bounds of the verify rows route_vs_ladder_*
+        assert np.max(np.abs(routed.unitary - ladder.unitary)) <= 1e-9
+        bound = 10.0 * accurate.tolerance + 1e-11 * abs(ladder.dynamical)
+        assert angle_dist(routed.total, ladder.total) <= bound
+        assert abs(routed.dynamical - ladder.dynamical) <= bound
+        assert angle_dist(routed.geometric, ladder.geometric) <= bound
+        assert abs(routed.cyclicity_defect - ladder.cyclicity_defect) <= 1e-9

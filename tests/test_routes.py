@@ -84,7 +84,7 @@ def test_schedules_carry_their_frame():
     assert back.frame.winding == 1 and np.array_equal(back.frame.axis, -j.frame.axis)
     for frameless in (
         fields.time_reversed_schedule(j),
-        fields.negated_schedule(s),
+        fields.negated_schedule(j),
         fields.rotate_schedule(s, 0.3),
         fields.josephson_schedule(replace(CHARGE, e_i=0.5, nxc=0.2)),
         fields.nmr_schedule(fields.NmrParams(omega0=0.0, omega1=-1.0, omega=1.0)),
@@ -96,7 +96,13 @@ def test_schedules_carry_their_frame():
 def test_frame_reproduces_the_lab_field(build):
     # B = R_z(w wt)(m n) - w omega z-hat at the grid angles
     s = build(NMR if build is fields.nmr_schedule else CHARGE)
-    for sched in (s, fields.reversed_schedule(s)):
+    loops = [s, fields.reversed_schedule(s)]
+    if build is fields.nmr_schedule:
+        # a constant magnitude keeps a frame under sign flip and retrace
+        flipped = [fields.negated_schedule(s), fields.time_reversed_schedule(s)]
+        loops += flipped + [fields.reversed_schedule(f) for f in flipped]
+        loops.append(fields.time_reversed_schedule(fields.negated_schedule(s)))
+    for sched in loops:
         f = sched.frame
         (c, sn), _ = evolve._phase_table(64)
         m = f.magnitude(c, sn)
@@ -106,6 +112,24 @@ def test_frame_reproduces_the_lab_field(build):
         want = np.stack([c * x - ws * y, ws * x + c * y, z], axis=-1)
         got = sched.field(c, sn)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(got))
+
+
+def test_constant_frames_survive_sign_flip_and_retrace():
+    # the NMR drive's frame field is (omega0, 0, z + omega) with winding +1
+    s = fields.nmr_schedule(NMR)
+    w0, z, w = NMR.omega0, NMR.z_effective, NMR.omega
+    for sched, winding, field in (
+        (s, 1, (w0, 0.0, z + w)),
+        (fields.negated_schedule(s), 1, (-w0, 0.0, w - z)),
+        (fields.time_reversed_schedule(s), -1, (w0, 0.0, z - w)),
+    ):
+        f = sched.frame
+        assert f.winding == winding
+        assert f.constant == pytest.approx(np.linalg.norm(field), rel=1e-15)
+        assert np.allclose(f.axis, np.array(field) / np.linalg.norm(field), rtol=0, atol=1e-15)
+    # a frame field that cancels has no axis: z = omega negates to zero
+    bare = fields.nmr_schedule(fields.NmrParams(omega0=0.0, omega1=1.0, omega=1.0))
+    assert bare.frame is not None and fields.negated_schedule(bare).frame is None
 
 
 def test_routed_callers_run_no_cf4_step(mini):
@@ -142,9 +166,9 @@ def test_routed_callers_run_no_cf4_step(mini):
             phases.cyclic_pair(CHARGE.chi0).psi_plus,
             cfg,
         ),
-        # a state off the frame axis is not cyclic
+        # a state off the axis of a frame whose magnitude varies
         lambda cfg: phases.decompose_loop(
-            fields.nmr_schedule(NMR), state_of_angles(0.3, 0.2), cfg
+            fields.josephson_schedule(CHARGE), state_of_angles(0.3, 0.2), cfg
         ),
         # one ulp of the field angle exceeds the tolerance
         lambda cfg: phases.decompose_loop(
@@ -170,6 +194,39 @@ def test_routed_callers_run_no_cf4_step(mini):
 def test_other_loops_take_the_ladder(accurate, run):
     with _no_cf4_steps(), pytest.raises(CF4Step):
         run(accurate)
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        fields.negated_schedule(fields.josephson_schedule(CHARGE)),
+        fields.time_reversed_schedule(fields.josephson_schedule(CHARGE)),
+        fields.negated_schedule(fields.rotate_schedule(fields.nmr_schedule(NMR), 0.3)),
+        fields.time_reversed_schedule(fields.rotate_schedule(fields.nmr_schedule(NMR), 0.3)),
+        fields.negated_schedule(fields.josephson_schedule(replace(CHARGE, e_i=0.5, nxc=0.2))),
+    ],
+    ids=["negated-charge", "time-reversed-charge", "negated-rotated-nmr",
+         "time-reversed-rotated-nmr", "negated-z-shifted-charge"],
+)
+def test_flipped_loops_without_a_constant_frame_take_the_ladder(accurate, loop):
+    with _no_cf4_steps(), pytest.raises(CF4Step):
+        phases.decompose_loop(loop, state_of_angles(1.0, 0.5), accurate)
+
+
+def test_nmr_control_gates_take_the_closed_form(tmp_path, cfg):
+    spec = tmp_path / "spec.json"
+    doc = {"platform": "nmr", "omega0": 2.0, "omega1": 0.9, "omega": 1.1, "j": 0.4, "delta": 1}
+    routes = {}
+    with _no_cf4_steps():
+        for rule in ("time_reversed", "negated"):
+            spec.write_text(json.dumps(dict(doc, reversal=rule)))
+            path, _ = experiments.run_gate(cfg, spec, tmp_path / rule)
+            report = json.loads(path.read_text())
+            routes[rule] = (report["loop1"]["route"], report["loop2"]["route"])
+    assert routes == {
+        "time_reversed": ("rotating_frame", "rotating_frame"),
+        "negated": ("rotating_frame", "rotating_frame"),
+    }
 
 
 def test_huge_field_angle_still_fails_to_converge():
