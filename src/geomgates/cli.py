@@ -4,7 +4,8 @@ Subcommands reproduce the shipped experiment presets (``fig1a``,
 ``fig1b``, ``fig2b``, ``fig2c``, ``sweep``), run the verification suite
 (``verify``), or synthesize a single echoed gate from a JSON description
 (``gate``).  Exit status: 0 on success, 1 when an asserted check fails,
-2 on configuration errors and when the integrator does not converge.
+2 on configuration errors, when the integrator does not converge and
+when it runs out of memory.
 """
 
 from __future__ import annotations
@@ -146,6 +147,10 @@ def main(argv=None) -> int:
         return 2
     except NonConvergenceError as exc:
         print(f"geomgates: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"geomgates: out of memory{detail}", file=sys.stderr)
         return 2
     return 0
 

@@ -39,8 +39,9 @@ in the frame rotating with the drive (``_frame_unitary``), behind both the
 NMR-style drive's independent oracle and ``phases.decompose_loop``'s
 exact route; and its two-qubit counterpart, the coupled pair's one-period
 propagator from one constant 4x4 Hamiltonian.  The CF4 ladder computes
-every loop the closed form does not cover, and it stays the reference
-that ``verify`` holds the closed form to.
+every loop the closed form does not cover, on the lab field or on the
+field in the co-rotating frame, and on the lab field it stays the
+reference that ``verify`` holds both routes to.
 """
 
 from __future__ import annotations

@@ -21,16 +21,17 @@ omega tau = 2 pi, retracing the loop maps the drive angle wt to
 2 pi - wt, that is (c, s) to (c, -s), so every transform is an exact map
 of the field function.
 
-Both builders' unshifted drives are fixed-axis fields in the frame that
-rotates with the drive, and say so in a ``Frame``:
-B = R_z(w wt)(m n) - w omega z-hat, with winding w = +-1, a fixed unit
-axis n and the magnitude m(c, s) = |B'|.  The sign-flipped retrace maps
-every frame.  Sign flip and retrace alone map a frame whose magnitude is
-constant (the NMR drive's): the field at t = 0, b = m n - w omega z-hat,
-keeps its turning sense under the flip and reverses it under the
-retrace, so the new rotating-frame field stays fixed.  A charge drive's
-m varies over the loop, so those two transforms leave its frame field
-turning and keep none; nor does a rotation or a z-shifted charge drive.
+Both builders' drives turn about z at the drive frequency, and their
+schedules say so in a ``Frame``: with psi = exp(-i (w wt / 2) sz) xi and
+winding w = +-1, the state xi in the co-rotating frame sees the field
+b(c, s) = R_z(-w wt) B + w omega z-hat, which each builder writes
+natively.  Every transform but the rotation maps it: the sign flip to
+-b + 2 w omega z-hat (same winding), the retrace to b(c, -s) - 2 w omega
+z-hat (winding -w), the sign-flipped retrace to -b(c, -s) (winding -w);
+a control's z shift d adds d z-hat.  Where b keeps a fixed direction n,
+the frame also records n and the magnitude m = |b| (the unshifted drives
+and their sign-flipped retraces, and every NMR loop, whose b is
+constant); only the closed form of ``phases.decompose_loop`` reads them.
 """
 
 from __future__ import annotations
@@ -65,53 +66,73 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """The drive's rotating frame, in which the field has a fixed axis.
+    """The frame co-rotating with the drive, and the field it sees there.
 
-    The lab field is B = R_z(w wt)(m(c, s) n) - w omega z-hat, where R_z
-    turns about z, so in the frame rotating with the drive the field is
-    m n: fixed in direction, varying only in size.
+    With psi = exp(-i (w wt / 2) sz) xi, the lab field B drives xi as the
+    in-frame field b = R_z(-w wt) B + w omega z-hat, where R_z turns about
+    z.  At one period the frame factor is -I, so the lab loop's final
+    state is -xi(tau) and its propagator -U_b.
 
     winding : +1 for a counterclockwise loop, -1 for a clockwise one
-    axis : unit 3-vector n, the rotating-frame field direction
-    magnitude : maps c = cos wt and s = sin wt to m = |B'| >= 0
+    field : maps c = cos wt and s = sin wt to a fresh array b (..., 3)
+    axis : unit 3-vector n when b = m n keeps a fixed direction, else None
+    magnitude : maps (c, s) to m = |b| >= 0 when ``axis`` is set, else None
     constant : m when it is the same at every drive angle, else None.
-        Only such a frame survives ``negated_schedule`` and
-        ``time_reversed_schedule``, and only on it does a state off the
-        axis get the closed-form phase split (``phases.decompose_loop``).
+        Only with ``axis`` does a start state on the axis get the
+        closed-form phase split, and only with ``constant`` any other
+        state (``phases.decompose_loop``).
 
     Frames compare and hash by identity, so schedules stay hashable.
     """
 
     winding: int
-    axis: np.ndarray
-    magnitude: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    field: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    axis: np.ndarray | None = None
+    magnitude: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     constant: float | None = None
 
 
 def _constant_frame(winding, field):
-    """Frame of the constant rotating-frame field ``field`` = m n, or None
-    when that field vanishes: a zero field has no axis."""
+    """Frame of the constant in-frame field ``field`` = m n; it has no
+    axis when that field vanishes."""
     x, y, z = map(float, field)
+    b = np.array([x, y, z])
+
+    def const(c, s):
+        return np.full(np.shape(c) + (3,), b)
+
     m = float(np.hypot(np.hypot(x, y), z))
     if not m > 0.0:
-        return None
-    return Frame(winding, np.array([x, y, z]) / m, lambda c, s: np.full(np.shape(c), m), m)
+        return Frame(winding, const)
+    return Frame(winding, const, b / m, lambda c, s: np.full(np.shape(c), m), m)
 
 
 def _flipped_frame(s: "FieldSchedule", sign):
-    """Frame of the drive whose field at t = 0 is sign * b, winding the
-    other way when sign = +1 and the same way when sign = -1.
+    """Frame of the drive whose field is sign * B at the drive angle's
+    cosine and sign * sin, winding the same way when sign = -1 (the sign
+    flip) and the other way when sign = +1 (the retrace).
 
-    With b = m n - w omega z-hat, that drive's lab field is
-    R_z(-sign w wt)(sign b), so its rotating-frame field is
-    sign (m n - 2 w omega z-hat): fixed when m is.  None when m varies.
+    Its in-frame field is sign (b(c, -sign s) - 2 w omega z-hat).  A
+    constant b = m n keeps its axis: the new field is
+    sign (m n - 2 w omega z-hat), fixed.
     """
     frame = s.frame
-    if frame is None or frame.constant is None:
+    if frame is None:
         return None
-    w = frame.winding
-    field = frame.constant * frame.axis - np.array([0.0, 0.0, 2.0 * w * s.omega])
-    return _constant_frame(-sign * w, sign * field)
+    w, f = frame.winding, frame.field
+    if frame.constant is not None:
+        field = frame.constant * frame.axis - np.array([0.0, 0.0, 2.0 * w * s.omega])
+        return _constant_frame(-sign * w, sign * field)
+    dz = 2.0 * w * s.omega
+
+    def field(c, sn):
+        b = f(c, sn if sign < 0 else -sn)
+        b[..., 2] -= dz
+        if sign < 0:
+            np.negative(b, out=b)
+        return b
+
+    return Frame(-sign * w, field)
 
 
 @dataclass(frozen=True)
@@ -301,7 +322,7 @@ def nmr_schedule(p: NmrParams) -> FieldSchedule:
     restriction of the coupled two-qubit Hamiltonian, where the zz coupling
     turns into the z-field shift (2*delta - 1) * j and nothing else changes.
     In the frame rotating at omega the field is the constant
-    (omega0, 0, z + omega).
+    (omega0, 0, z + omega), with winding +1.
     """
     z = p.z_effective
     omega0 = p.omega0
@@ -368,8 +389,9 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
     the shift (d = 0) it satisfies (B_z - omega) = E_J cot chi0 exactly,
     so the cone angle arctan(E_J / (B_z - omega)) equals chi0 for all t,
     and the loop winds clockwise: in the frame rotating at -omega the
-    field is (E_J / sin chi0) (sin chi0, 0, cos chi0).  A nonzero shift
-    breaks the constant cone, the schedule then has no frame, and the
+    field is b = (E_J, 0, E_J cot chi0 + d), that is
+    (E_J / sin chi0) (sin chi0, 0, cos chi0) plus the shift.  A nonzero
+    shift breaks the constant cone, so b then has no fixed axis, and the
     label ends in `` + z_shift(d)``.
     """
     if p.e_plus >= 0.5 * p.e_ch:  # e_plus is the largest E_J
@@ -394,13 +416,24 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
             z += shift
         return out
 
+    def frame_field(c, s):
+        ej = _josephson_ej(p, c, s)
+        out = np.empty(np.shape(ej) + (3,))
+        out[..., 0] = ej
+        out[..., 1] = 0.0
+        z = np.multiply(ej, cot0, out=out[..., 2])
+        if shift != 0.0:
+            z += shift
+        return out
+
     label = f"josephson(e1={p.e1:g}, e2={p.e2:g}, chi0={p.chi0:g}, omega={p.omega:g})"
     if shift != 0.0:
         label += f" + z_shift({shift:g})"
-        return FieldSchedule(field=field, omega=omega, label=label)
-    sin0 = np.sin(p.chi0)
-    axis = np.array([sin0, 0.0, np.cos(p.chi0)])
-    frame = Frame(-1, axis, lambda c, s: _josephson_ej(p, c, s) / sin0)
+        frame = Frame(-1, frame_field)
+    else:
+        sin0 = np.sin(p.chi0)
+        axis = np.array([sin0, 0.0, np.cos(p.chi0)])
+        frame = Frame(-1, frame_field, axis, lambda c, s: _josephson_ej(p, c, s) / sin0)
     return FieldSchedule(field=field, omega=omega, label=label, frame=frame)
 
 
@@ -418,7 +451,10 @@ def _map_field(s: FieldSchedule, f, label, frame=None) -> FieldSchedule:
 
 
 def rotate_schedule(s: FieldSchedule, dchi) -> FieldSchedule:
-    """Rigidly rotate the whole field history about the y axis by dchi."""
+    """Rigidly rotate the whole field history about the y axis by dchi.
+
+    The rotated drive no longer turns about z, so it has no frame.
+    """
     r = rotation_about_y(dchi)
     return _map_field(s, lambda b: b @ r.T, f"rot_y({dchi:g})[{s.label}]")
 
@@ -426,8 +462,8 @@ def rotate_schedule(s: FieldSchedule, dchi) -> FieldSchedule:
 def negated_schedule(s: FieldSchedule) -> FieldSchedule:
     """Sign-flipped field, same traversal order.
 
-    A constant-magnitude frame (w, n, m) maps to the same winding and the
-    rotating-frame field -m n + 2 w omega z-hat; any other frame to None.
+    A frame (w, b) maps to the same winding and the in-frame field
+    -b + 2 w omega z-hat, which keeps a constant b's fixed axis.
     """
     return _map_field(s, lambda b: -b, f"negated[{s.label}]", _flipped_frame(s, -1))
 
@@ -436,8 +472,8 @@ def time_reversed_schedule(s: FieldSchedule) -> FieldSchedule:
     """Retrace one loop backwards without flipping the field sign.
 
     B'(t) = B(tau - t): the drive angle 2 pi - wt, so the field at (c, -s).
-    A constant-magnitude frame (w, n, m) maps to the winding -w and the
-    rotating-frame field m n - 2 w omega z-hat; any other frame to None.
+    A frame (w, b) maps to the winding -w and the in-frame field
+    b(c, -s) - 2 w omega z-hat, which keeps a constant b's fixed axis.
     """
     return FieldSchedule(
         field=lambda c, sn: s.field(c, -sn),
@@ -452,12 +488,24 @@ def reversed_schedule(s: FieldSchedule) -> FieldSchedule:
 
     Run after the original loop, this is the second period of the
     echo-style protocol B(2 tau - t) = -B(t).  Applying it twice returns the
-    original loop.  A frame (w, n, m(c, s)) maps to (-w, -n, m(c, -s)).
+    original loop.  A frame (w, b(c, s)) maps to (-w, -b(c, -s)), so a
+    fixed axis n with magnitude m(c, s) maps to -n with m(c, -s).
     """
     frame = s.frame
     if frame is not None:
-        m = frame.magnitude
-        frame = Frame(-frame.winding, -frame.axis, lambda c, sn: m(c, -sn), frame.constant)
+        f, n, m = frame.field, frame.axis, frame.magnitude
+
+        def field(c, sn):
+            b = f(c, -sn)
+            return np.negative(b, out=b)
+
+        frame = Frame(
+            -frame.winding,
+            field,
+            None if n is None else -n,
+            None if m is None else (lambda c, sn: m(c, -sn)),
+            frame.constant,
+        )
     return FieldSchedule(
         field=lambda c, sn: -s.field(c, -sn),
         omega=s.omega,

@@ -200,15 +200,16 @@ def synthesize_double_loop(
 
     Each loop's phase split and one-period propagator come from one call
     of ``phases.decompose_loop`` with ``with_unitary=True``: in closed form
-    when the loop has a rotating frame and either starts on its axis or
-    has a constant frame magnitude, else from one refinement ladder whose
-    rungs give both, so no loop is propagated twice.  Loop 1 of every
-    drive with a frame is closed-form.  So is loop 2 of the default rule,
-    which starts from U1 psi_plus, a multiple of psi_plus, on the reversed
-    frame's axis, and loop 2 of every rule on the NMR drive, whose frame
-    magnitude is constant.  On the charge drive the ``time_reversed`` and
-    ``negated`` loops keep no frame and climb the ladder.  The report's
-    loops name their route.  The
+    when the loop's in-frame field has a fixed axis and the loop either
+    starts on it or has a constant frame magnitude, else from one
+    refinement ladder whose rungs give both, so no loop is propagated
+    twice.  Loop 1 of every shipped drive is closed-form.  So is loop 2 of
+    the default rule, which starts from U1 psi_plus, a multiple of
+    psi_plus, on the reversed frame's axis, and loop 2 of every rule on
+    the NMR drive, whose frame magnitude is constant.  On the charge drive
+    the ``time_reversed`` and ``negated`` loops have an in-frame field
+    without a fixed axis and run the ladder in the co-rotating frame
+    (route "frame_ladder").  The report's loops name their route.  The
     composite is the product U2 @ U1 of the two loops' propagators, and
     the second loop starts from U1 psi_plus.  With the
     literal echo rule (second-loop field -B(tau - t)) U2 is exactly the

@@ -10,10 +10,11 @@ Bloch path.
 
 ``decompose`` runs the CF4 ladder on any loop; ``decompose_loop``, which
 the figures, gates and eigenblock angles call, takes the closed form when
-the loop has a rotating frame and either starts on its axis or has a
-constant frame magnitude.  The closed form's
-geometric phase equals the loop law by its algebra, so ``verify`` keeps
-the ladder as its reference and holds the closed form to it.
+the loop's in-frame field has a fixed axis and the loop either starts on
+it or has a constant frame magnitude, and otherwise runs the ladder in
+the co-rotating frame.  The closed form's geometric phase equals the
+loop law by its algebra, so ``verify`` keeps the lab-frame ladder as its
+reference and holds both routes to it.
 
 Sign convention (fixed by H = -(1/2) B . sigma and verified against the
 closed-form rotating-frame solution): a cone loop at polar angle chi whose
@@ -57,8 +58,10 @@ _POLE_EPS = 1e-7
 # unless the frame's magnitude is constant.
 _AXIS_ATOL = 1e-12
 
-# The two routes of ``decompose_loop``, as recorded on their results.
-ROUTE_FRAME, ROUTE_LADDER = "rotating_frame", "cf4_ladder"
+# The routes of ``decompose_loop`` and ``decompose``, as recorded on their
+# results: the closed form, the ladder in the co-rotating frame and the
+# lab-frame ladder.
+ROUTE_FRAME, ROUTE_FRAME_LADDER, ROUTE_LADDER = "rotating_frame", "frame_ladder", "cf4_ladder"
 
 # The dynamical-phase quadrature's rounding floor, relative to the phase:
 # slow loops accumulate hundreds of radians, and there no absolute bound
@@ -90,8 +93,9 @@ class PhaseDecomposition:
     be meaningful.  ``unitary`` is the loop's one-period propagator when
     ``decompose`` was asked for it (``with_unitary=True``), else None.
     ``bloch`` is the (n + 1, 3) Bloch path on the accepted rung's grid
-    (None on the closed-form route).  ``route`` names what computed the
-    split: "cf4_ladder" or "rotating_frame" (see ``decompose_loop``).
+    (None off the lab-frame ladder).  ``route`` names what computed the
+    split: "cf4_ladder", "frame_ladder" or "rotating_frame" (see
+    ``decompose_loop``).
     """
 
     total: float
@@ -194,17 +198,22 @@ def _simpson(y, x):
     return h / 3.0 * (y[..., 0] + y[..., -1] + 4.0 * odd + 2.0 * even)
 
 
-def _expectation_integral(s: FieldSchedule, ts, bloch):
-    """integral <psi|H|psi> dt with <H> = -(1/2) B . n, by Simpson's rule.
+def _expectation_integral(s: FieldSchedule, ts, bloch, offset=0.0):
+    """integral <psi|H|psi> dt with <H> = -(1/2) (B - offset z-hat) . n,
+    by Simpson's rule.
 
     The field is smooth over the loop, so one composite Simpson sum over
     the whole uniform grid ``ts`` (an even number of steps, see
     ``evolve.time_grid``) suffices.  ``bloch`` is one path (n + 1, 3) or a
     stack (..., n + 1, 3) of paths, all integrated against one reading of
     the field on the grid's row of the phase table (``evolve._phase_table``).
+    ``offset`` = w omega turns an in-frame field b and in-frame Bloch
+    vectors into the lab energy (see ``decompose``).
     """
     grid, _ = evolve._phase_table(len(ts) - 1)
     b = np.asarray(s.field(*grid), dtype=float)
+    if offset:
+        b[..., 2] -= offset
     energy = -0.5 * np.einsum("nk,...nk->...n", b, bloch)
     return _simpson(energy, ts)
 
@@ -215,6 +224,7 @@ def decompose(
     cfg: evolve.PropagatorConfig | None = None,
     cyclicity_threshold=1e-6,
     with_unitary=False,
+    in_frame=False,
 ) -> PhaseDecomposition | tuple[PhaseDecomposition, ...]:
     """Split the phase acquired over one schedule period.
 
@@ -237,6 +247,14 @@ def decompose(
     criterion).  The converged matrix, projected onto the unitary group,
     is stored on ``unitary``.
 
+    With ``in_frame=True`` the ladder runs in the frame co-rotating with
+    the drive (``s.frame``, see ``fields.Frame``): the steps come from the
+    in-frame field b, the energy integrand is -(1/2) (b - w omega z-hat) . r
+    for the in-frame Bloch vector r, and the lab final state is -xi(tau),
+    so U = -U_b.  Every criterion thus compares the same lab quantity at
+    the same bound.  The result's route is "frame_ladder" and it has no
+    Bloch path.
+
     Returns
     -------
     PhaseDecomposition, or a tuple of k of them for a stack
@@ -244,7 +262,8 @@ def decompose(
         geometric = (total - dynamical) reduced to (-pi, pi],
         cyclicity_defect = 1 - |<psi0|psi(T)>|, the validity flag
         cyclicity_defect <= cyclicity_threshold, ``unitary`` (None
-        unless ``with_unitary``) and the accepted rung's Bloch path.
+        unless ``with_unitary``) and the accepted rung's Bloch path
+        (lab frame only).
     """
     cfg = cfg or evolve.PropagatorConfig()
     psi0 = np.asarray(psi0, dtype=complex)
@@ -254,15 +273,23 @@ def decompose(
     for psi in stack:
         pauli.assert_normalized(psi)
 
+    field, offset, route = s, 0.0, ROUTE_LADDER
+    if in_frame:
+        field = FieldSchedule(s.frame.field, s.omega, s.label)
+        offset, route = s.frame.winding * s.omega, ROUTE_FRAME_LADDER
+
     def run(steps):
         ts = evolve.time_grid(s, steps)
-        states = evolve._fixed_states(evolve._step_unitaries(s, ts), psi0)
+        states = evolve._fixed_states(evolve._step_unitaries(field, ts), psi0)
         bloch = evolve._bloch_rows(states)
-        dyn = -_expectation_integral(s, ts, bloch)
-        # a copy, so that the previous rung keeps its path but not its states
-        fin = states[..., -1, :].reshape(-1, 2).copy()
+        dyn = -_expectation_integral(field, ts, bloch, offset)
+        # a copy, so that the previous rung keeps its path but not its states;
+        # in the frame, negated: the frame factor is -I at one period
+        fin = states[..., -1, :].reshape(-1, 2)
+        fin = -fin if in_frame else fin.copy()
         u = evolve._matrix_of_states(stack[0], fin[0]) if with_unitary else None
-        return fin, np.ravel(dyn), u, bloch.reshape(len(stack), -1, 3)
+        path = None if in_frame else bloch.reshape(len(stack), -1, 3)
+        return fin, np.ravel(dyn), u, path
 
     def criteria(prev, cur):
         found = [evolve._state_change(prev[0], cur[0], cfg)]
@@ -275,15 +302,16 @@ def decompose(
 
     fin, dyn, u, bloch = evolve.refine(run, criteria, cfg, "phase decomposition")
     u = None if u is None else evolve._unitary_projection(u)
+    paths = [None] * len(stack) if bloch is None else bloch
     parts = []
-    for psi, fin_c, dyn_c, path in zip(stack, fin, map(float, dyn), bloch):
+    for psi, fin_c, dyn_c, path in zip(stack, fin, map(float, dyn), paths):
         ov = np.vdot(psi, fin_c)
         total = float(np.angle(ov))
         # Rounding can push |<psi0|psi(T)>| a last ulp above 1.
         defect = 1.0 - min(float(abs(ov)), 1.0)
         valid = bool(defect <= cyclicity_threshold)
         geometric = pauli.wrap_pi(total - dyn_c)
-        parts.append(PhaseDecomposition(total, dyn_c, geometric, defect, valid, u, path))
+        parts.append(PhaseDecomposition(total, dyn_c, geometric, defect, valid, u, path, route))
     return tuple(parts) if psi0.ndim == 2 else parts[0]
 
 
@@ -296,7 +324,8 @@ def decompose_loop(
 ) -> PhaseDecomposition:
     """``decompose`` for one state (2,), in closed form where one exists.
 
-    When ``s`` has a rotating frame (w, n, m), the one-period propagator is
+    When the in-frame field of ``s`` has a fixed axis, b = m n (see
+    ``fields.Frame``), the one-period propagator is
     U = -exp(i (Phi/2) n . sigma) (``evolve._frame_unitary``), with
     Phi = tau <m> the field angle swept in the frame (Aharonov & Anandan,
     PRL 58, 1593 (1987)).  A state psi0 with Bloch vector sigma n
@@ -318,19 +347,30 @@ def decompose_loop(
     with r_perp = r0 - (n . r0) n.  At r0 = sigma n it is the on-axis value.
     <m> is the periodic trapezoid rule on the ``cfg.steps_per_period``
     grid, spectrally accurate for a smooth periodic magnitude.  The result
-    has route "rotating_frame" and no Bloch path.  The CF4 ladder
-    (``decompose``) runs instead when the schedule has no frame, when psi0
-    lies off the axis of a frame whose magnitude varies (the charge
-    drive), when the rule on the half grid moves Phi by more than
-    ``cfg.tolerance``, or when one ulp of Phi exceeds it: then
-    Phi mod 2 pi has no digits, and the ladder reports the loop as not
+    has route "rotating_frame" and no Bloch path.
+
+    Every other loop of a schedule with a frame runs the CF4 ladder on the
+    in-frame field b (``decompose`` with ``in_frame=True``, route
+    "frame_ladder"): b with no fixed axis (the charge drive's sign-flipped
+    and retraced loops, its z-shifted drive), a state off the axis of a
+    varying magnitude, and a Phi that the half grid moves by more than
+    ``cfg.tolerance`` or one ulp of which exceeds it.  CF4's error comes
+    from commutators of the field at different times (Blanes & Moan 2006);
+    the lab field turns once per loop while b nearly keeps its direction,
+    so the frame ladder settles in fewer rungs.  A rotated drive has no
+    frame and takes the lab-frame ladder.  So does a fixed axis whose Phi
+    has too few digits: one ulp of Phi above the tolerance when m is
+    constant, or above sqrt(cfg.steps_per_period) times it when m varies.
+    There the frame ladder's steps commute, and two rungs can agree by
+    rounding alone; the lab-frame ladder reports the loop as not
     converged.
     """
     cfg = cfg or evolve.PropagatorConfig()
     psi0 = np.asarray(psi0, dtype=complex)
-    exact = _frame_route(s, psi0, cfg)
+    route, exact = _frame_route(s, psi0, cfg)
     if exact is None:
-        return decompose(s, psi0, cfg, cyclicity_threshold, with_unitary)
+        in_frame = route == ROUTE_FRAME_LADDER
+        return decompose(s, psi0, cfg, cyclicity_threshold, with_unitary, in_frame)
     u, dyn = exact
     ov = np.vdot(psi0, u @ psi0)
     total = float(np.angle(ov))
@@ -347,32 +387,44 @@ def decompose_loop(
 
 
 def _frame_route(s: FieldSchedule, psi0, cfg):
-    """(U, dynamical phase) of the closed form for ``decompose_loop``, or
-    None when the ladder must run."""
+    """The route ``decompose_loop`` takes, with the closed form's
+    (U, dynamical phase) on ROUTE_FRAME and None on either ladder."""
     frame = s.frame
-    if frame is None or psi0.shape != (2,):
-        return None
+    if frame is None:
+        return ROUTE_LADDER, None
+    if frame.axis is None:
+        return ROUTE_FRAME_LADDER, None
+    steps = evolve._even(cfg.steps_per_period)
+    grid, _ = evolve._phase_table(steps)
+    m = frame.magnitude(grid[0, :-1], grid[1, :-1])
+    phi = s.period * float(np.mean(m))
+    half = s.period * float(np.mean(m[::2]))
+    ulp = float(np.spacing(phi))
+    # About a fixed axis the ladder's steps commute, so a rung's field angle
+    # is a sum of rounded step angles, off by about ulp / sqrt(steps) when m
+    # varies and by ulp itself when m is constant (each rung then halves
+    # every step angle exactly).  Beyond the tolerance two rungs can agree
+    # by rounding alone; the lab-frame ladder reports such a loop as not
+    # converged.
+    if not ulp <= cfg.tolerance * (1.0 if frame.constant is not None else np.sqrt(steps)):
+        return ROUTE_LADDER, None
+    if psi0.shape != (2,) or not (ulp <= cfg.tolerance and abs(phi - half) <= cfg.tolerance):
+        return ROUTE_FRAME_LADDER, None
     bloch = pauli.bloch_of_state(psi0)
     sigma = 1.0 if float(bloch @ frame.axis) >= 0.0 else -1.0
     on_axis = float(np.max(np.abs(bloch - sigma * frame.axis))) <= _AXIS_ATOL
     if not (on_axis or frame.constant is not None):
-        return None
-    grid, _ = evolve._phase_table(evolve._even(cfg.steps_per_period))
-    m = frame.magnitude(grid[0, :-1], grid[1, :-1])
-    phi = s.period * float(np.mean(m))
-    half = s.period * float(np.mean(m[::2]))
-    if not (np.spacing(phi) <= cfg.tolerance and abs(phi - half) <= cfg.tolerance):
-        return None
+        return ROUTE_FRAME_LADDER, None
     w, n = frame.winding, frame.axis
     u = evolve._frame_unitary(w, s.omega, n, phi, s.period)
     axial = phi - w * 2.0 * np.pi * float(n[2])
     if on_axis:
-        return u, 0.5 * sigma * axial
+        return ROUTE_FRAME, (u, 0.5 * sigma * axial)
     along = float(n @ bloch)
     perp_z = float(bloch[2]) - along * float(n[2])
     cross_z = float(n[0] * bloch[1] - n[1] * bloch[0])
     turn = np.sin(phi) * perp_z - 2.0 * np.sin(0.5 * phi) ** 2 * cross_z
-    return u, 0.5 * (along * axial - w * s.omega / frame.constant * turn)
+    return ROUTE_FRAME, (u, 0.5 * (along * axial - w * s.omega / frame.constant * turn))
 
 
 def _nearest_fill(values, good):

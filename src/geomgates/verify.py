@@ -148,12 +148,12 @@ def _route_rows(tag, schedules, prop):
     return _held_to_ladder(tag, loops, prop, detail)
 
 
-def _held_to_ladder(tag, loops, prop, detail):
+def _held_to_ladder(tag, loops, prop, detail, route=phases.ROUTE_FRAME):
     """The route rows over (loop, start states) items.
 
     The ladder is ``decompose`` with ``with_unitary=True`` on each loop's
-    stack of start states.  A loop that did not take the closed form fails
-    both rows (measured inf).
+    stack of start states.  A loop that did not take ``route`` in
+    ``decompose_loop`` fails both rows (measured inf).
     """
     worst_u = 0.0
     worst_phase, phase_bound = 0.0, 10.0 * prop.tolerance
@@ -162,7 +162,7 @@ def _held_to_ladder(tag, loops, prop, detail):
         ladder = phases.decompose(loop, np.stack(members), prop, with_unitary=True)
         for psi, ref in zip(members, ladder):
             d = phases.decompose_loop(loop, psi, prop, with_unitary=True)
-            if d.route != phases.ROUTE_FRAME:
+            if d.route != route:
                 unrouted.append(loop.label)
                 continue
             worst_u = max(worst_u, float(np.max(np.abs(d.unitary - ref.unitary))))
@@ -177,7 +177,8 @@ def _held_to_ladder(tag, loops, prop, detail):
                     worst_phase, phase_bound = dev, bound
     if unrouted:
         worst_u = worst_phase = math.inf
-        detail += f"; not on the closed-form route: {unrouted[0]}"
+        name = "closed-form" if route == phases.ROUTE_FRAME else route
+        detail += f"; not on the {name} route: {unrouted[0]}"
     return [
         _le(f"route_vs_ladder_unitary_{tag}", worst_u, 1e-9, detail),
         _le(f"route_vs_ladder_phases_{tag}", worst_phase, phase_bound, detail),
@@ -199,15 +200,19 @@ def _control_loops(nmr, prop):
 
 
 def check_route_vs_ladder(cfg: Config):
-    """The closed-form route against the CF4 ladder on both platforms.
+    """``decompose_loop``'s routes against the lab-frame CF4 ladder on both
+    platforms.
 
     Rotating drive: both ``fig1`` control branches (static z field) at the
     first, middle and last operation time of the ``[fig1]`` grid.  Charge
     drive: the ``[verify]`` reference loop (10 tau0) and 3, 30 and the
     longest ``[fig2]`` operation time.  The rotating drive's control rows
     run its ``negated`` and ``time_reversed`` loops from states off their
-    frame axes.  The phases row's bound is the one ``decompose`` accepts a
-    rung pair at; it is printed for the worst loop.  This is the charge
+    frame axes, on the closed form.  The charge drive's control rows run
+    its ``negated`` and ``time_reversed`` loops at 3, 10 and 30 tau0, and
+    the 10 tau0 drive with a control's z shift (``_CONDITIONAL``), on the
+    frame ladder.  The phases row's bound is the one ``decompose`` accepts
+    a rung pair at; it is printed for the worst loop.  This is the charge
     platform's propagator oracle.
     """
     prop = cfg.propagator
@@ -227,10 +232,27 @@ def check_route_vs_ladder(cfg: Config):
         f"{len(nmr)} negated and {len(nmr)} time-reversed loops; "
         "the echo's mid state and a state off the xz plane"
     )
+    charge_controls = _control_loops(charge[:3], prop)
+    shifted = replace(_josephson_reference(cfg), **_CONDITIONAL)
+    # from the 10 tau0 loop's mid state and the state off the xz plane
+    starts = charge_controls[2][1]
+    charge_controls.append((experiments.josephson_schedule(shifted), starts))
+    charge_detail = (
+        "3 negated and 3 time-reversed loops and 1 z-shifted loop "
+        f"(d = {shifted.e_i * (shifted.nxc - shifted.delta):g}); "
+        "the echo's mid state and a state off the xz plane"
+    )
     return (
         _route_rows("rotating_drive", nmr, prop)
         + _route_rows("charge_drive", charge, prop)
         + _held_to_ladder("rotating_drive_controls", controls, prop, detail)
+        + _held_to_ladder(
+            "charge_drive_controls",
+            charge_controls,
+            prop,
+            charge_detail,
+            phases.ROUTE_FRAME_LADDER,
+        )
     )
 
 
@@ -241,6 +263,11 @@ def check_route_vs_ladder(cfg: Config):
 def _nmr_reference(cfg: Config) -> NmrParams:
     """The uncoupled ``[fig1]`` variant-a drive at tau / tau0 = 4."""
     return replace(cfg.fig1.params(4.0, "a"), j=0.0)
+
+
+# The conditional charge drive of the route rows: a control in |1> shifts
+# the z field by e_i (nxc - delta).
+_CONDITIONAL = {"e_i": 0.5, "nxc": 0.2, "delta": 1}
 
 
 def _josephson_reference(cfg: Config, ratio=10.0):
@@ -611,9 +638,11 @@ def check_gate_algebra(cfg: Config):
 def check_block_exactness(cfg: Config):
     """4x4 conditional totals equal the 2x2 eigenblock predictions.
 
-    An independent cross-check: the 4x4 side is the closed-form propagator
-    (one ``eigh`` of the constant rotating-frame Hamiltonian), the block
-    side CF4 ladders on each eigenblock's schedule.
+    Two closed forms of different construction: the 4x4 side is the pair's
+    propagator (one ``eigh`` of the constant rotating-frame Hamiltonian),
+    the block side ``phases.decompose_loop``'s rotating-frame route on
+    each eigenblock's schedule (``experiments._block_angle``), which
+    ``route_vs_ladder_*_rotating_drive`` holds to the CF4 ladder.
     """
     f = cfg.fig1
     worst = 0.0

@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import geomgates
-from geomgates import cli
+from geomgates import cli, evolve
 from geomgates.config import default_config_path
 
 
@@ -299,6 +300,46 @@ _CHARGE_SPEC = {
     "platform": "josephson", "e1": 1.5625, "e2": 6.25, "e_ch": 39.0625,
     "cos_chi0": 0.8, "omega": 1.0,
 }
+
+
+def _limit_address_space():
+    """Cap the child's address space at 1 GiB, so a ladder that outgrows it
+    raises MemoryError instead of taking the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_slow_charge_control_gate_stays_within_a_gigabyte(tmp_path):
+    # On the lab-frame ladder the negated loop at omega = 1e-4 needed
+    # ~900 MB; in the co-rotating frame its field nearly keeps its
+    # direction, and the ladder stops at 131,072 steps.  Exit 1: the
+    # negated rule does not cancel the dynamical phase.
+    spec = tmp_path / "gate.json"
+    spec.write_text(json.dumps(dict(_CHARGE_SPEC, omega=1e-4, reversal="negated")))
+    src = str(Path(geomgates.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "geomgates.cli", "gate", str(spec), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert run.returncode == 1, run.stderr
+    assert run.stderr == ""
+    report = json.loads((tmp_path / "gate_report.json").read_text())
+    assert report["loop2"]["route"] == "frame_ladder"
+
+
+def test_out_of_memory_exits_two_with_one_line(tmp_path, fast_ini, capsys, monkeypatch):
+    def exhausted(s, ts):
+        raise MemoryError("Unable to allocate 256. MiB for an array")
+
+    monkeypatch.setattr(evolve, "_step_unitaries", exhausted)
+    spec = tmp_path / "gate.json"
+    spec.write_text(json.dumps(dict(_CHARGE_SPEC, reversal="time_reversed")))
+    rc = cli.main(["gate", str(spec), "--config", str(fast_ini), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "geomgates: out of memory: Unable to allocate 256. MiB for an array\n"
 
 
 @pytest.mark.parametrize(

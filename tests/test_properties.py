@@ -353,3 +353,43 @@ def test_constant_frame_route_matches_the_ladder_from_any_state(accurate, p, the
         assert abs(routed.dynamical - ladder.dynamical) <= bound
         assert angle_dist(routed.geometric, ladder.geometric) <= bound
         assert abs(routed.cyclicity_defect - ladder.cyclicity_defect) <= 1e-9
+
+
+shifted_charge_drives = st.builds(
+    lambda p, e_i, nxc, delta: replace(p, e_i=e_i, nxc=nxc, delta=delta),
+    charge_drives,
+    e_i=st.floats(-1.0, 1.0),
+    nxc=st.floats(0.0, 1.0),
+    delta=st.integers(0, 1),
+)
+
+
+@given(
+    p=shifted_charge_drives,
+    theta=st.floats(0.0, np.pi),
+    phi=st.floats(-np.pi, np.pi),
+)
+def test_frame_ladder_matches_the_lab_ladder(accurate, p, theta, phi):
+    s, psi = fields.josephson_schedule(p), state_of_angles(theta, phi)
+    # a z shift turns the in-frame field as E_J runs through its range, so
+    # there the frame ladder may need one rung more than the lab ladder
+    spare = 0 if s.frame.axis is not None else 1
+    for loop in (
+        s,
+        fields.negated_schedule(s),
+        fields.time_reversed_schedule(s),
+        fields.reversed_schedule(s),
+    ):
+        with _stepped() as frame_rungs:
+            framed = phases.decompose(loop, psi, accurate, with_unitary=True, in_frame=True)
+        with _stepped() as lab_rungs:
+            lab = phases.decompose(loop, psi, accurate, with_unitary=True)
+        assert framed.route == "frame_ladder" and framed.bloch is None
+        assert len(frame_rungs) <= len(lab_rungs) + spare
+        # the bounds of the verify rows route_vs_ladder_*
+        assert np.max(np.abs(framed.unitary - lab.unitary)) <= 1e-9
+        bound = 10.0 * accurate.tolerance + 1e-11 * abs(lab.dynamical)
+        assert angle_dist(framed.total, lab.total) <= bound
+        assert abs(framed.dynamical - lab.dynamical) <= bound
+        assert angle_dist(framed.geometric, lab.geometric) <= bound
+        assert abs(framed.cyclicity_defect - lab.cyclicity_defect) <= bound

@@ -82,36 +82,49 @@ def test_schedules_carry_their_frame():
     assert np.allclose(j.frame.axis, [np.sin(CHARGE.chi0), 0.0, np.cos(CHARGE.chi0)])
     back = fields.reversed_schedule(j)
     assert back.frame.winding == 1 and np.array_equal(back.frame.axis, -j.frame.axis)
-    for frameless in (
+    # every transform but the rotation keeps a frame; only an in-frame
+    # field of fixed direction gives it an axis
+    for axisless in (
         fields.time_reversed_schedule(j),
         fields.negated_schedule(j),
-        fields.rotate_schedule(s, 0.3),
         fields.josephson_schedule(replace(CHARGE, e_i=0.5, nxc=0.2)),
         fields.nmr_schedule(fields.NmrParams(omega0=0.0, omega1=-1.0, omega=1.0)),
     ):
-        assert frameless.frame is None
+        f = axisless.frame
+        assert f is not None and f.axis is None and f.magnitude is None and f.constant is None
+    assert fields.rotate_schedule(s, 0.3).frame is None
 
 
-@pytest.mark.parametrize("build", [fields.nmr_schedule, fields.josephson_schedule])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fields.nmr_schedule(NMR),
+        lambda: fields.josephson_schedule(CHARGE),
+        lambda: fields.josephson_schedule(replace(CHARGE, e_i=0.5, nxc=0.2, delta=1)),
+    ],
+    ids=["nmr_schedule", "josephson_schedule", "z-shifted-josephson"],
+)
 def test_frame_reproduces_the_lab_field(build):
-    # B = R_z(w wt)(m n) - w omega z-hat at the grid angles
-    s = build(NMR if build is fields.nmr_schedule else CHARGE)
-    loops = [s, fields.reversed_schedule(s)]
-    if build is fields.nmr_schedule:
-        # a constant magnitude keeps a frame under sign flip and retrace
-        flipped = [fields.negated_schedule(s), fields.time_reversed_schedule(s)]
-        loops += flipped + [fields.reversed_schedule(f) for f in flipped]
-        loops.append(fields.time_reversed_schedule(fields.negated_schedule(s)))
+    # B = R_z(w wt) b - w omega z-hat at the grid angles, and b = m n where
+    # the frame has a fixed axis
+    s = build()
+    flipped = [fields.negated_schedule(s), fields.time_reversed_schedule(s)]
+    loops = [s, fields.reversed_schedule(s), *flipped]
+    loops += [fields.reversed_schedule(f) for f in flipped]
+    loops.append(fields.time_reversed_schedule(fields.negated_schedule(s)))
+    (c, sn), _ = evolve._phase_table(64)
     for sched in loops:
         f = sched.frame
-        (c, sn), _ = evolve._phase_table(64)
-        m = f.magnitude(c, sn)
-        x, y = m * f.axis[0], m * f.axis[1]
+        b = f.field(c, sn)
         ws = f.winding * sn
-        z = m * f.axis[2] - f.winding * sched.omega
+        x, y = b[:, 0], b[:, 1]
+        z = b[:, 2] - f.winding * sched.omega
         want = np.stack([c * x - ws * y, ws * x + c * y, z], axis=-1)
         got = sched.field(c, sn)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(got))
+        if f.axis is not None:
+            m = f.magnitude(c, sn)
+            assert np.max(np.abs(m[:, None] * f.axis - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 def test_constant_frames_survive_sign_flip_and_retrace():
@@ -129,7 +142,7 @@ def test_constant_frames_survive_sign_flip_and_retrace():
         assert np.allclose(f.axis, np.array(field) / np.linalg.norm(field), rtol=0, atol=1e-15)
     # a frame field that cancels has no axis: z = omega negates to zero
     bare = fields.nmr_schedule(fields.NmrParams(omega0=0.0, omega1=1.0, omega=1.0))
-    assert bare.frame is not None and fields.negated_schedule(bare).frame is None
+    assert bare.frame.axis is not None and fields.negated_schedule(bare).frame.axis is None
 
 
 def test_routed_callers_run_no_cf4_step(mini):
@@ -277,7 +290,7 @@ def test_gate_report_names_each_loop_route(tmp_path, cfg):
         routes[rule] = (report["loop1"]["route"], report["loop2"]["route"])
     assert routes == {
         "negated_reversed": ("rotating_frame", "rotating_frame"),
-        "time_reversed": ("rotating_frame", "cf4_ladder"),
+        "time_reversed": ("rotating_frame", "frame_ladder"),
     }
 
 
@@ -290,3 +303,15 @@ def test_echo_info_rows_report_one_minus_fidelity(cfg):
             assert row.detail.startswith("aligned deviation ")
     # the charge drive's doubled target is traceless: fidelity ~0, distance ~1
     assert abs(rows["echo_distance_to_doubled_target_charge_drive"].measured - 1.0) <= 1e-12
+
+
+def test_a_fixed_axis_loop_without_digits_takes_the_lab_ladder():
+    # Phi ~ 7e13 rad, whose rounding is ~8e-3 rad: on the frame ladder the
+    # commuting steps' rounded angles summed alike at 512 and 1024 steps
+    slow = fields.JosephsonParams.from_cos_chi0(
+        0.8, e1=1.5625, e2=6.25, e_ch=39.0625, omega=1e-12
+    )
+    s = fields.josephson_schedule(slow)
+    cfg = PropagatorConfig(steps_per_period=16, max_refinements=6)
+    with pytest.raises(evolve.NonConvergenceError, match="did not converge"):
+        phases.decompose_loop(s, phases.cyclic_pair(slow.chi0).psi_plus, cfg)
