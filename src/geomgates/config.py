@@ -39,6 +39,9 @@ __all__ = [
     "default_config_path",
 ]
 
+# tau / tau0 of verify's charge reference loops (the middle one its reference drive)
+CHARGE_REFERENCE_RATIOS = (3.0, 10.0, 30.0)
+
 
 class ConfigError(Exception):
     """Missing, malformed, or inconsistent configuration input."""
@@ -296,6 +299,8 @@ def load_config(path=None) -> Config:
     ratio = fig2.field_tau_over_tau0
     _fig2_loops(fig2, "[fig2] field_tau_over_tau0", ratio, ratio)
     _fig2_loops(fig2, "[fig2] tau grid", fig2.tau_grid.lo, fig2.tau_grid.hi)
+    lo, hi = min(CHARGE_REFERENCE_RATIOS), max(CHARGE_REFERENCE_RATIOS)
+    _fig2_loops(fig2, f"[fig2] e1, e2, e_ch at verify's tau / tau0 = {lo:g} to {hi:g}", lo, hi)
 
     sweep = SweepConfig(
         omega0=_require_float(cp, "sweep", "omega0"),

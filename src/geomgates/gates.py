@@ -44,9 +44,14 @@ __all__ = [
 ]
 
 
+_ZERO_TOL = 1e-12  # commutation criterion and branch-parameter distance
+_SEPARABLE_TOL = 1e-9  # block_phase_separable's residuals
+
+
 @dataclass(frozen=True)
 class GateSpec:
-    """Cone angle and loop phase defining a single-qubit gate."""
+    """Cone angle and loop phase of a single-qubit gate, or equal-shape
+    arrays of them: the gate laws then give one result per entry."""
 
     chi: float
     gamma: float
@@ -61,62 +66,64 @@ class TwoQubitGateSpec:
 
 
 def build_gate(spec: GateSpec):
-    """2x2 gate matrix for a cone loop, exactly unitary."""
-    c2 = np.cos(0.5 * spec.chi) ** 2
-    s2 = np.sin(0.5 * spec.chi) ** 2
+    """2x2 gate matrix for a cone loop, exactly unitary; (..., 2, 2) for
+    stacked specs."""
+    c2 = np.square(np.cos(0.5 * spec.chi))
+    s2 = np.square(np.sin(0.5 * spec.chi))
     ep = np.exp(1j * spec.gamma)
     em = np.exp(-1j * spec.gamma)
     off = 1j * np.sin(spec.chi) * np.sin(spec.gamma)
-    return np.array([[ep * c2 + em * s2, off], [off, ep * s2 + em * c2]])
+    u = np.stack([ep * c2 + em * s2, off, off, ep * s2 + em * c2], axis=-1)
+    return u.reshape(u.shape[:-1] + (2, 2))
 
 
 def build_two_qubit(tq: TwoQubitGateSpec):
-    """Block-diagonal conditional gate diag(U(spec0), U(spec1))."""
-    u = np.zeros((4, 4), dtype=complex)
-    u[:2, :2] = build_gate(tq.spec0)
-    u[2:, 2:] = build_gate(tq.spec1)
-    return u
+    """Block-diagonal conditional gate diag(U(spec0), U(spec1)); (..., 4, 4)
+    for stacked specs."""
+    u0, u1 = build_gate(tq.spec0), build_gate(tq.spec1)
+    zero = np.zeros_like(u0)
+    return np.block([[u0, zero], [zero, u1]])
 
 
-def noncommutable(a: GateSpec, b: GateSpec, zero_tol=1e-12):
-    """Whether the two gates fail to commute.
+def noncommutable(a: GateSpec, b: GateSpec):
+    """Whether the two gates fail to commute; elementwise on stacked specs.
 
-    Criterion: sin(g1) sin(g2) sin(chi2 - chi1) != 0 (up to ``zero_tol``),
-    which equals half the largest entry of the commutator.
+    Criterion: sin(g1) sin(g2) sin(chi2 - chi1) != 0 (up to 1e-12), which
+    equals half the largest entry of the commutator.
     """
     crit = np.sin(a.gamma) * np.sin(b.gamma) * np.sin(b.chi - a.chi)
-    return bool(abs(crit) > zero_tol)
+    return np.abs(crit) > _ZERO_TOL
 
 
-def nontrivial_two_qubit(tq: TwoQubitGateSpec, tol=1e-12):
-    """Whether the conditional gate is not a local (separable) operation.
+def nontrivial_two_qubit(tq: TwoQubitGateSpec):
+    """Whether the conditional gate is not a local (separable) operation;
+    elementwise on stacked specs.
 
-    True iff the branch parameters differ modulo 2 pi: gamma1 != gamma0 or
-    chi1 != chi0.  One corner case: equal cone angles with gamma offset by
-    exactly pi give U1 = -U0, which is still a phase multiple and hence a
-    local operation even though the parameters differ; use
-    ``block_phase_separable`` on the built matrix when strict separability
-    semantics are needed.
+    True iff the branch parameters differ modulo 2 pi (by more than
+    1e-12): gamma1 != gamma0 or chi1 != chi0.  One corner case: equal
+    cone angles with gamma offset by exactly pi give U1 = -U0, which is
+    still a phase multiple and hence a local operation even though the
+    parameters differ; use ``block_phase_separable`` on the built matrix
+    when strict separability semantics are needed.
     """
     dg = pauli.angle_dist(tq.spec1.gamma, tq.spec0.gamma)
     dc = pauli.angle_dist(tq.spec1.chi, tq.spec0.chi)
-    return bool(dg > tol or dc > tol)
+    return (dg > _ZERO_TOL) | (dc > _ZERO_TOL)
 
 
-def block_phase_separable(u4, tol=1e-9):
-    """Direct separability check for a block-diagonal two-qubit gate.
+def block_phase_separable(u4):
+    """Direct separability check for a block-diagonal two-qubit gate; one
+    result per matrix of a (..., 4, 4) stack.
 
     diag(U0, U1) is a product of local unitaries exactly when U1 is a
-    global-phase multiple of U0.
+    global-phase multiple of U0 (within 1e-9).
     """
     u4 = np.asarray(u4, dtype=complex)
-    u0, u1 = u4[:2, :2], u4[2:, 2:]
-    d = u0.conj().T @ u1
-    ph = np.trace(d) / 2.0
-    return bool(
-        abs(abs(ph) - 1.0) <= tol
-        and float(np.max(np.abs(d - ph * np.eye(2)))) <= tol
-    )
+    u0, u1 = u4[..., :2, :2], u4[..., 2:, 2:]
+    d = u0.conj().swapaxes(-1, -2) @ u1
+    ph = np.trace(d, axis1=-2, axis2=-1) / 2.0
+    residual = np.max(np.abs(d - ph[..., None, None] * np.eye(2)), axis=(-2, -1))
+    return (np.abs(np.abs(ph) - 1.0) <= _SEPARABLE_TOL) & (residual <= _SEPARABLE_TOL)
 
 
 def gate_fidelity(u, v):
@@ -234,6 +241,7 @@ def synthesize_double_loop(
     target_gamma = 2.0 * d1.geometric
     target = build_gate(GateSpec(pair.chi, target_gamma))
     eye = np.eye(2, dtype=complex)
+    deviation_identity = max_aligned_deviation(eye, u)
 
     dyn_sum = d1.dynamical + d2.dynamical
     geo_sum = pauli.wrap_pi(d1.geometric + d2.geometric)
@@ -250,10 +258,10 @@ def synthesize_double_loop(
         fidelity_target=gate_fidelity(target, u),
         fidelity_identity=gate_fidelity(eye, u),
         deviation_target=max_aligned_deviation(target, u),
-        deviation_identity=max_aligned_deviation(eye, u),
+        deviation_identity=deviation_identity,
         flags={
             "dynamical_cancelled": bool(abs(dyn_sum) <= 1e-6),
-            "identity_reached": bool(max_aligned_deviation(eye, u) <= 1e-6),
+            "identity_reached": bool(deviation_identity <= 1e-6),
             "cyclic": bool(composite_defect <= 1e-6),
             "reversal": reversal,
         },

@@ -185,9 +185,9 @@ def kron(a, b):
 
 
 def unitarity_defect(u):
-    """max |U^dag U - I| entry-wise."""
+    """max |U^dag U - I| entry-wise, over a whole (..., n, n) stack."""
     u = np.asarray(u, dtype=complex)
-    d = u.conj().T @ u - np.eye(u.shape[0])
+    d = u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
     return float(np.max(np.abs(d)))
 
 
@@ -212,8 +212,9 @@ def wrap_pi(x):
 
 
 def angle_dist(a, b):
-    """Distance between two angles modulo 2*pi."""
-    return float(np.abs(wrap_pi(np.asarray(a, float) - np.asarray(b, float))))
+    """Distance between two angles modulo 2*pi; elementwise on arrays of
+    angles, a float for two scalars."""
+    return abs(wrap_pi(np.asarray(a, float) - np.asarray(b, float)))
 
 
 def reduced_bloch(psi4):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import experiments, gates, pauli, phases
-from .config import Config
+from .config import CHARGE_REFERENCE_RATIOS, Config
 from .evolve import final_state, rotating_frame_oracle, total_unitary, two_qubit_unitary
 from .fields import NmrParams, nmr_schedule, nmr_two_qubit, reversed_schedule, rotate_schedule
 from .pauli import angle_dist, state_of_angles, wrap_pi
@@ -224,7 +224,7 @@ def check_route_vs_ladder(cfg: Config):
             p = f.params(r, "a", delta)
             nmr.append((nmr_schedule(p), phases.cyclic_pair_nmr(p)))
     charge = []
-    for r in (3.0, 10.0, 30.0, cfg.fig2.tau_grid.values()[-1]):
+    for r in (*CHARGE_REFERENCE_RATIOS, cfg.fig2.tau_grid.values()[-1]):
         jp = _josephson_reference(cfg, r)
         charge.append((experiments.josephson_schedule(jp), phases.cyclic_pair_josephson(jp)))
     controls = _control_loops(nmr, prop)
@@ -270,7 +270,7 @@ def _nmr_reference(cfg: Config) -> NmrParams:
 _CONDITIONAL = {"e_i": 0.5, "nxc": 0.2, "delta": 1}
 
 
-def _josephson_reference(cfg: Config, ratio=10.0):
+def _josephson_reference(cfg: Config, ratio=CHARGE_REFERENCE_RATIOS[1]):
     f = cfg.fig2
     tau = ratio * experiments.tau0_candidates(f)["ej_avg"]
     return f.params(f.cos_chi0, 2.0 * np.pi / tau)
@@ -407,12 +407,12 @@ def check_conditional_flatness(cfg: Config):
     g1 = np.asarray(cols["gamma1_exact"])
     npts = len(g0)
     detail = f"{npts} operation times in [{cfg.fig1.tau_grid.lo:g}, {cfg.fig1.tau_grid.hi:g}] tau0"
-    dist0 = max(angle_dist(g, np.pi) for g in g0)
-    dist1 = max(angle_dist(g, 0.75 * np.pi) for g in g1)
-    var0 = max(angle_dist(g, g0[0]) for g in g0)
-    var1 = max(angle_dist(g, g1[0]) for g in g1)
-    dbl0 = max(angle_dist(2.0 * g, 2.0 * np.pi) for g in g0)
-    dbl1 = max(angle_dist(2.0 * g, 1.5 * np.pi) for g in g1)
+    dist0 = np.max(angle_dist(g0, np.pi))
+    dist1 = np.max(angle_dist(g1, 0.75 * np.pi))
+    var0 = np.max(angle_dist(g0, g0[0]))
+    var1 = np.max(angle_dist(g1, g1[0]))
+    dbl0 = np.max(angle_dist(2.0 * g0, 2.0 * np.pi))
+    dbl1 = np.max(angle_dist(2.0 * g1, 1.5 * np.pi))
     return [
         _le("conditional_phase_control0_vs_pi", dist0, 1e-7, detail),
         _le("conditional_phase_control1_vs_3pi4", dist1, 1e-7, detail),
@@ -439,8 +439,7 @@ def charge_figure_checks(main, inset):
     for tag, (params, columns, extras) in (("main", main), ("inset", inset)):
         cols = dict(columns)
         target = extras["gamma_target"]
-        g = np.asarray(cols["gamma_exact"])
-        dist = max(angle_dist(x, target) for x in g)
+        dist = np.max(angle_dist(cols["gamma_exact"], target))
         checks.append(
             _le(
                 f"charge_phase_{tag}_vs_target",
@@ -554,76 +553,60 @@ def check_echo_cancellation(cfg: Config):
 # ---------------------------------------------------------------------------
 
 def check_gate_algebra(cfg: Config):
-    """Matrix-level gate laws on dense parameter grids and random draws."""
+    """Matrix-level gate laws on dense parameter grids and random draws,
+    each law evaluated once on the stack of all its cases."""
     del cfg  # pure matrix algebra; numerics-free
     pairs, specs = 10_000, 1_000
-    chis = np.linspace(0.0, np.pi, 50)
-    gammas = np.linspace(-np.pi, np.pi, 50)
-    worst_unit = 0.0
-    worst_eig = 0.0
-    for chi in chis:
-        pair = phases.cyclic_pair(chi)
-        for gamma in gammas:
-            u = gates.build_gate(gates.GateSpec(chi, gamma))
-            worst_unit = max(worst_unit, pauli.unitarity_defect(u))
-            lam = np.exp(1j * gamma)
-            worst_eig = max(
-                worst_eig,
-                float(np.max(np.abs(u @ pair.psi_plus - lam * pair.psi_plus))),
-                float(np.max(np.abs(u @ pair.psi_minus - np.conj(lam) * pair.psi_minus))),
-            )
+    chi, gamma = np.meshgrid(np.linspace(0.0, np.pi, 50), np.linspace(-np.pi, np.pi, 50))
+    u = gates.build_gate(gates.GateSpec(chi, gamma))
+    worst_unit = pauli.unitarity_defect(u)
+    # the columns of v are phases.cyclic_pair(chi)'s psi_plus and psi_minus:
+    # U v = v diag(e^{i gamma}, e^{-i gamma})
+    c, s = np.cos(0.5 * chi), np.sin(0.5 * chi)
+    v = np.stack([c, -s, s, c], -1).reshape(chi.shape + (2, 2)).astype(complex)
+    lam = np.exp(1j * gamma)
+    worst_eig = np.max(np.abs(u @ v - v * np.stack([lam, np.conj(lam)], -1)[..., None, :]))
     out = [
         _le("gate_unitarity_grid", worst_unit, 1e-12, "50x50 parameter grid"),
         _le("gate_eigenphase_grid", worst_eig, 1e-12, "50x50 parameter grid"),
     ]
 
-    def disagrees(a, b):
-        """1 if the commutator norm and ``gates.noncommutable`` disagree."""
-        ua, ub = gates.build_gate(a), gates.build_gate(b)
-        direct = float(np.max(np.abs(ua @ ub - ub @ ua))) > 1e-9
-        return int(direct != gates.noncommutable(a, b))
-
+    # rows (chi_a, gamma_a, chi_b, gamma_b): random pairs, then the
+    # criterion's zero set, sampled on purpose
     rng = np.random.default_rng(20240817)
-    disagree = 0
-    for _ in range(pairs):
-        a = gates.GateSpec(*rng.uniform(-np.pi, np.pi, 2))
-        b = gates.GateSpec(*rng.uniform(-np.pi, np.pi, 2))
-        disagree += disagrees(a, b)
-    # the criterion's zero set, sampled on purpose
-    for chi in np.linspace(-2.0, 2.0, 7):
-        for gamma in np.linspace(-3.0, 3.0, 7):
-            cases = [
-                (gates.GateSpec(chi, 0.0), gates.GateSpec(chi + 1.0, gamma)),
-                (gates.GateSpec(chi, np.pi), gates.GateSpec(chi + 1.0, gamma)),
-                (gates.GateSpec(chi, gamma), gates.GateSpec(chi, gamma + 0.5)),
-            ]
-            disagree += sum(disagrees(a, b) for a, b in cases)
+    zc, zg = np.meshgrid(np.linspace(-2.0, 2.0, 7), np.linspace(-3.0, 3.0, 7))
+    zc, zg = zc.ravel(), zg.ravel()
+    cases = np.concatenate([
+        rng.uniform(-np.pi, np.pi, (pairs, 4)),
+        np.stack([zc, np.zeros_like(zc), zc + 1.0, zg], -1),
+        np.stack([zc, np.full_like(zc, np.pi), zc + 1.0, zg], -1),
+        np.stack([zc, zg, zc, zg + 0.5], -1),
+    ])
+    a, b = gates.GateSpec(*cases[:, :2].T), gates.GateSpec(*cases[:, 2:].T)
+    ua, ub = gates.build_gate(a), gates.build_gate(b)
+    direct = np.max(np.abs(ua @ ub - ub @ ua), axis=(-2, -1)) > 1e-9
     out.append(
         _le(
             "noncommutability_criterion_agreement",
-            disagree,
+            np.count_nonzero(direct != gates.noncommutable(a, b)),
             0,
             f"{pairs} random pairs plus the criterion zero set",
         )
     )
 
-    disagree = 0
-    for _ in range(specs):
-        tq = gates.TwoQubitGateSpec(
-            gates.GateSpec(*rng.uniform(-np.pi, np.pi, 2)),
-            gates.GateSpec(*rng.uniform(-np.pi, np.pi, 2)),
-        )
-        separable = gates.block_phase_separable(gates.build_two_qubit(tq))
-        disagree += int(separable == gates.nontrivial_two_qubit(tq))
-    for _ in range(specs // 10):
-        spec = gates.GateSpec(*rng.uniform(-np.pi, np.pi, 2))
-        tq = gates.TwoQubitGateSpec(spec, spec)
-        separable = gates.block_phase_separable(gates.build_two_qubit(tq))
-        disagree += int(separable == gates.nontrivial_two_qubit(tq))
+    # rows (chi0, gamma0, chi1, gamma1): random specs, then equal branches
+    branches = np.concatenate([
+        rng.uniform(-np.pi, np.pi, (specs, 4)),
+        np.tile(rng.uniform(-np.pi, np.pi, (specs // 10, 2)), 2),
+    ])
+    tq = gates.TwoQubitGateSpec(
+        gates.GateSpec(*branches[:, :2].T), gates.GateSpec(*branches[:, 2:].T)
+    )
+    separable = gates.block_phase_separable(gates.build_two_qubit(tq))
     out.append(
         _le(
             "nontriviality_vs_separability_agreement",
-            disagree,
+            np.count_nonzero(separable == gates.nontrivial_two_qubit(tq)),
             0,
             f"{specs} random conditional specs plus equal-branch draws",
         )

@@ -483,6 +483,33 @@ def test_underflowing_junction_energies_exit_two_with_one_line(tmp_path, command
 
 
 @pytest.mark.parametrize(
+    "command", ["fig1a", "fig1b", "fig2b", "fig2c", "sweep", "verify", "gate"]
+)
+def test_overflowing_verify_reference_loops_exit_two_with_one_line(tmp_path, command):
+    # Every [fig2] loop and every [verify] charge loop stays finite, but
+    # verify's 3 tau0 reference loop overflows the drive field; a fresh
+    # interpreter, so a traceback would show on stderr.
+    cp = configparser.ConfigParser()
+    cp.read(default_config_path())
+    for key, value in {"e1": "2e153", "e2": "4e153", "e_ch": "1e155", "tau_min": "50"}.items():
+        cp.set("fig2", key, value)
+    cp.set("verify", "chi_min", "1.0")
+    cp.set("verify", "chi_max", "2.0")
+    ini = tmp_path / "huge.ini"
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    args = [command, "--config", str(ini), "--out", str(tmp_path / "out")]
+    if command == "gate":
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps(_NMR_SPEC))
+        args.insert(1, str(path))
+    run = _run_python("-m", "geomgates.cli", *args)
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1
+    assert "verify's tau / tau0 = 3 to 30: the drive field overflows a float" in run.stderr
+
+
+@pytest.mark.parametrize(
     "command, section, edits, message",
     [
         ("fig1a", "fig1", {"tau_scale": "linear", "tau_min": "0"}, "[fig1] tau grid must be"),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from geomgates import evolve, fields, gates, pauli, phases
+from geomgates import evolve, fields, gates, pauli, phases, verify
+from geomgates.config import load_config
 
 RNG_SEED = 20240509
 
@@ -101,6 +102,83 @@ def test_antipodal_gamma_branch_is_phase_separable():
     tq = gates.TwoQubitGateSpec(spec, anti)
     assert gates.nontrivial_two_qubit(tq)
     assert gates.block_phase_separable(gates.build_two_qubit(tq))
+
+
+def test_gate_laws_on_stacks_equal_per_entry_calls():
+    # a (15, 4) stack of (chi0, gamma0, chi1, gamma1) rows: random, equal
+    # branches, gamma offset by pi, gamma0 = pi, so each predicate answers
+    # both ways
+    rng = np.random.default_rng(RNG_SEED)
+    rows = rng.uniform(-np.pi, np.pi, (60, 4))
+    rows[::4, 2:] = rows[::4, :2]
+    rows[1::4, 2:] = rows[1::4, :2] + [0.0, np.pi]
+    rows[2::4, 1] = np.pi
+    rows = rows.reshape(15, 4, 4)
+    a, b = gates.GateSpec(rows[..., 0], rows[..., 1]), gates.GateSpec(rows[..., 2], rows[..., 3])
+
+    def laws(a, b):
+        tq = gates.TwoQubitGateSpec(a, b)
+        u4 = gates.build_two_qubit(tq)
+        return {
+            "build_gate": gates.build_gate(a),
+            "build_two_qubit": u4,
+            "noncommutable": gates.noncommutable(a, b),
+            "nontrivial_two_qubit": gates.nontrivial_two_qubit(tq),
+            "block_phase_separable": gates.block_phase_separable(u4),
+            "angle_dist": pauli.angle_dist(a.gamma, b.gamma),
+        }
+
+    stacked = laws(a, b)
+    assert stacked["build_gate"].shape == (15, 4, 2, 2)
+    assert stacked["build_two_qubit"].shape == (15, 4, 4, 4)
+    # a stack's unitarity defect is its worst entry's
+    defects = [pauli.unitarity_defect(u) for u in stacked["build_two_qubit"].reshape(-1, 4, 4)]
+    assert pauli.unitarity_defect(stacked["build_two_qubit"]) == max(defects)
+    for name in ("noncommutable", "nontrivial_two_qubit", "block_phase_separable"):
+        assert stacked[name].shape == (15, 4)
+        assert stacked[name].any() and not stacked[name].all(), name
+    for idx in np.ndindex(rows.shape[:-1]):
+        chi0, gamma0, chi1, gamma1 = map(float, rows[idx])
+        single = laws(gates.GateSpec(chi0, gamma0), gates.GateSpec(chi1, gamma1))
+        for name, value in single.items():
+            assert np.asarray(value).tobytes() == np.asarray(stacked[name][idx]).tobytes(), name
+
+
+def test_gate_algebra_draws_follow_the_per_case_order(monkeypatch):
+    # verify.check_gate_algebra draws its random cases as stacks; they are
+    # the draws of one uniform(-pi, pi, 2) call per gate spec, in the order
+    # of a per-case loop: 10,000 pairs, then 1,000 conditional specs, then
+    # 100 equal-branch specs
+    seen = {}
+
+    def recording(name, law):
+        def wrapped(*args):
+            seen[name] = args
+            return law(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(gates, "noncommutable", recording("pairs", gates.noncommutable))
+    monkeypatch.setattr(
+        gates, "nontrivial_two_qubit", recording("branches", gates.nontrivial_two_qubit)
+    )
+    verify.check_gate_algebra(load_config())
+
+    rng = np.random.default_rng(20240817)
+
+    def spec():
+        return rng.uniform(-np.pi, np.pi, 2)
+
+    pairs = [np.concatenate([spec(), spec()]) for _ in range(10_000)]
+    branches = [np.concatenate([spec(), spec()]) for _ in range(1_000)]
+    branches += [np.tile(spec(), 2) for _ in range(100)]
+    a, b = seen["pairs"]
+    drawn = np.stack([a.chi, a.gamma, b.chi, b.gamma], -1)
+    assert drawn.shape == (10_147, 4)
+    np.testing.assert_array_equal(drawn[:10_000], pairs)
+    (tq,) = seen["branches"]
+    drawn = np.stack([tq.spec0.chi, tq.spec0.gamma, tq.spec1.chi, tq.spec1.gamma], -1)
+    np.testing.assert_array_equal(drawn, branches)
 
 
 def test_gate_fidelity_and_alignment():
