@@ -11,6 +11,7 @@ when it runs out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -76,7 +77,11 @@ def _table_options() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shared CLI parser: built on the first call, then returned as is,
+    so in-process callers of ``main`` build it once.  Parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(prog="geomgates", description=__doc__)
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"

@@ -18,6 +18,7 @@ The packaged ``configs/default.ini`` documents every key.
 from __future__ import annotations
 
 import configparser
+import functools
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -255,20 +256,34 @@ def _propagator(cp) -> PropagatorConfig:
 def load_config(path=None) -> Config:
     """Parse a config file (the packaged default when ``path`` is None).
 
+    The file is read as UTF-8 on every call, so an edited file is always
+    seen.  Parsing and validation are memoised on the path and the text, so
+    in-process callers parse each INI content once and share its frozen
+    ``Config``; a file that fails raises again on every call.
+
     Raises
     ------
     ConfigError
-        On unreadable files, missing physical parameters, non-numeric
-        values, or inconsistent grids.
+        On unreadable or non-UTF-8 files, missing physical parameters,
+        non-numeric values, or inconsistent grids.
     """
     src = Path(path) if path is not None else default_config_path()
     if not src.is_file():
         raise ConfigError(f"config file not found: {src}")
+    try:
+        text = src.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {src}: {exc}") from exc
+    return _parse(str(src), text)
+
+
+@functools.lru_cache(maxsize=8)
+def _parse(src: str, text: str) -> Config:
+    """The validated ``Config`` of INI ``text`` read from ``src``."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(src) as fh:
-            cp.read_file(fh)
-    except (OSError, configparser.Error) as exc:
+        cp.read_string(text, source=src)
+    except configparser.Error as exc:
         raise ConfigError(f"cannot parse {src}: {exc}") from exc
 
     fig1 = Fig1Config(

@@ -533,7 +533,11 @@ def run_gate(cfg: Config, spec_path, out_dir):
     if not spec_path.is_file():
         raise ConfigError(f"gate spec file not found: {spec_path}")
     try:
-        doc = json.loads(spec_path.read_text())
+        text = spec_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read gate spec {spec_path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"gate spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

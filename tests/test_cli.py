@@ -153,6 +153,42 @@ def test_broken_config_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+def _data_rows(path):
+    return sum(1 for line in path.read_text().splitlines() if not line.startswith("#")) - 1
+
+
+def test_rewritten_config_is_read_again(tmp_path, fast_ini):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(fast_ini), "--out", str(out)]) == 0
+    assert _data_rows(out / "sweep.csv") == 2
+    cp = configparser.ConfigParser()
+    cp.read(fast_ini)
+    cp.set("sweep", "detuning_points", "3")
+    with open(fast_ini, "w") as fh:
+        cp.write(fh)
+    assert cli.main(["sweep", "--config", str(fast_ini), "--out", str(out)]) == 0
+    assert _data_rows(out / "sweep.csv") == 3
+
+
+def test_broken_config_exits_two_on_every_call(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[fig1]\nomega0 = fast\n")
+    for _ in range(2):
+        rc = cli.main(["fig1a", "--config", str(bad), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "geomgates: config error: [fig1] omega0 = 'fast' is not a number\n"
+
+
+def test_steps_override_does_not_outlive_its_call(tmp_path, fast_ini):
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["fig1b", "--config", str(fast_ini)]
+    assert cli.main(argv + ["--out", str(first), "--steps", "16"]) == 0
+    assert cli.main(argv + ["--out", str(second)]) == 0
+    assert "# steps_per_period = 16\n" in (first / "fig1b.csv").read_text()
+    assert "# steps_per_period = 4096\n" in (second / "fig1b.csv").read_text()
+
+
 def test_non_finite_config_exits_two(tmp_path, fast_ini, capsys):
     cp = configparser.ConfigParser()
     cp.read(fast_ini)
@@ -270,6 +306,23 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def test_cli_import_parses_nothing():
+    # The parser and the config memo fill on the first call, so a process
+    # that makes one call pays nothing for them at import.
+    probe = (
+        "import sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda e, a: opened.append(str(a[0])) if e == 'open' else None)\n"
+        "import geomgates.cli, geomgates.config\n"
+        "print(geomgates.cli.build_parser.cache_info().currsize,"
+        " geomgates.config._parse.cache_info().currsize,"
+        " [p for p in opened if p.endswith('.ini')])"
+    )
+    run = _run_python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0 0 []"
+
+
 def test_diverging_gate_prints_only_the_one_line_error(tmp_path, fast_ini):
     # A loop lasting ~6e300 cannot converge; the error must come without a
     # numerical warning ahead of it.  pytest captures warnings, so this runs
@@ -379,6 +432,45 @@ def test_bad_gate_spec_exits_two_with_one_line(tmp_path, fast_ini, spec, message
     assert run.stderr.count("\n") == 1
     assert message in run.stderr
     assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+
+
+@pytest.mark.parametrize("bad_file", ["ini", "spec"])
+def test_non_utf8_input_exits_two_with_one_line(tmp_path, fast_ini, bad_file):
+    ini, spec = tmp_path / "bad.ini", tmp_path / "gate.json"
+    spec.write_text(json.dumps(_NMR_SPEC))
+    if bad_file == "ini":
+        ini.write_bytes(b"[fig1]\nomega0 = 1\xff\n")
+    else:
+        ini.write_bytes(fast_ini.read_bytes())
+        spec.write_bytes(b'{"platform": "nmr\xff"}')
+    run = _run_python(
+        "-m", "geomgates.cli", "gate", str(spec), "--config", str(ini),
+        "--out", str(tmp_path / "out"),
+    )
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1
+    assert "geomgates: config error:" in run.stderr
+    assert "can't decode byte 0xff" in run.stderr
+
+
+def test_unreadable_gate_spec_exits_two(tmp_path, fast_ini, capsys, monkeypatch):
+    spec = tmp_path / "gate.json"
+    spec.write_text(json.dumps(_NMR_SPEC))
+    read_text = Path.read_text
+
+    def refuse(path, *args, **kwargs):
+        if path == spec:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    rc = cli.main(["gate", str(spec), "--config", str(fast_ini), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (
+        f"geomgates: config error: cannot read gate spec {spec}: "
+        f"[Errno 13] Permission denied: '{spec}'\n"
+    )
 
 
 def _capped_copy(ini, path, section, edits):

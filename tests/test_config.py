@@ -207,3 +207,16 @@ def test_each_drive_rule_reads_the_same_through_both_readers(
     ini_msg, gate_msg = str(ini.value), str(gate.value)
     assert ini_msg.startswith(ini_prefix) and gate_msg.startswith("gate spec: ")
     assert ini_msg[len(ini_prefix):] == gate_msg[len("gate spec: "):]
+
+
+def test_load_config_equals_a_fresh_parse_on_miss_and_hit(tmp_path):
+    path = tmp_path / "copy.ini"
+    shutil.copy(config.default_config_path(), path)
+    fresh = config._parse.__wrapped__(str(path), path.read_text(encoding="utf-8"))
+    before = config._parse.cache_info()
+    miss = config.load_config(path)
+    hit = config.load_config(path)
+    after = config._parse.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert miss == fresh
+    assert hit == fresh
