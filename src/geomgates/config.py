@@ -284,7 +284,9 @@ def _parse(src: str, text: str) -> Config:
     try:
         cp.read_string(text, source=src)
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {src}: {exc}") from exc
+        # configparser puts the file and each bad line on lines of their own
+        where = "; ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse {src}: {where}") from exc
 
     fig1 = Fig1Config(
         omega0=_require_float(cp, "fig1", "omega0"),

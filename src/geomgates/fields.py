@@ -25,13 +25,15 @@ Both builders' drives turn about z at the drive frequency, and their
 schedules say so in a ``Frame``: with psi = exp(-i (w wt / 2) sz) xi and
 winding w = +-1, the state xi in the co-rotating frame sees the field
 b(c, s) = R_z(-w wt) B + w omega z-hat, which each builder writes
-natively.  Every transform but the rotation maps it: the sign flip to
--b + 2 w omega z-hat (same winding), the retrace to b(c, -s) - 2 w omega
-z-hat (winding -w), the sign-flipped retrace to -b(c, -s) (winding -w);
-a control's z shift d adds d z-hat.  Where b keeps a fixed direction n,
-the frame also records n and the magnitude m = |b| (the unshifted drives
-and their sign-flipped retraces, and every NMR loop, whose b is
-constant); only the closed form of ``phases.decompose_loop`` reads them.
+natively; a control's z shift d adds d z-hat.  Every transform but the
+rotation is one map of a sign and a retrace: the lab field sign B(c, +-s),
+the winding -w when retraced, and the in-frame field
+sign (b(c, +-s) - dz z-hat), where dz = 2 w omega except for the
+sign-flipped retrace, whose -b(c, -s) has dz = 0.  Where b keeps a fixed
+direction n, the frame also records n and the magnitude m = |b| (the
+unshifted drives and their sign-flipped retraces, and every NMR loop,
+whose b is constant); only the closed form of ``phases.decompose_loop``
+reads them.
 """
 
 from __future__ import annotations
@@ -105,34 +107,6 @@ def _constant_frame(winding, field):
     if not m > 0.0:
         return Frame(winding, const)
     return Frame(winding, const, b / m, lambda c, s: np.full(np.shape(c), m), m)
-
-
-def _flipped_frame(s: "FieldSchedule", sign):
-    """Frame of the drive whose field is sign * B at the drive angle's
-    cosine and sign * sin, winding the same way when sign = -1 (the sign
-    flip) and the other way when sign = +1 (the retrace).
-
-    Its in-frame field is sign (b(c, -sign s) - 2 w omega z-hat).  A
-    constant b = m n keeps its axis: the new field is
-    sign (m n - 2 w omega z-hat), fixed.
-    """
-    frame = s.frame
-    if frame is None:
-        return None
-    w, f = frame.winding, frame.field
-    if frame.constant is not None:
-        field = frame.constant * frame.axis - np.array([0.0, 0.0, 2.0 * w * s.omega])
-        return _constant_frame(-sign * w, sign * field)
-    dz = 2.0 * w * s.omega
-
-    def field(c, sn):
-        b = f(c, sn if sign < 0 else -sn)
-        b[..., 2] -= dz
-        if sign < 0:
-            np.negative(b, out=b)
-        return b
-
-    return Frame(-sign * w, field)
 
 
 @dataclass(frozen=True)
@@ -287,7 +261,7 @@ class JosephsonParams:
         # |B|^2 = E_J^2 + (E_J cot chi0 + omega + d)^2 peaks at an end of
         # the junction energy's range [|e1 - e2|, e1 + e2]
         cot0 = math.cos(self.chi0) / math.sin(self.chi0)
-        z0 = float(self.omega) + self.e_i * (self.nxc - self.delta)
+        z0 = float(self.omega) + self.z_shift
         e_lo = abs(float(self.e_minus))
         z_lo, z_hi = e_lo * cot0 + z0, e_plus * cot0 + z0
         b2 = (e_lo * e_lo + z_lo * z_lo, e_plus * e_plus + z_hi * z_hi)
@@ -311,6 +285,11 @@ class JosephsonParams:
     @property
     def tau(self):
         return 2.0 * np.pi / self.omega
+
+    @property
+    def z_shift(self):
+        """Control-conditioned z shift of the drive: e_i * (nxc - delta)."""
+        return self.e_i * (self.nxc - self.delta)
 
 
 def nmr_schedule(p: NmrParams) -> FieldSchedule:
@@ -385,7 +364,7 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
     """Designed constant-cone drive of the charge qubit.
 
     B(t) = (E_J(t) cos wt, -E_J(t) sin wt, E_J(t) cot chi0 + omega + d),
-    with the control-conditioned z shift d = e_i (nxc - delta).  Without
+    with the control-conditioned z shift d = ``p.z_shift``.  Without
     the shift (d = 0) it satisfies (B_z - omega) = E_J cot chi0 exactly,
     so the cone angle arctan(E_J / (B_z - omega)) equals chi0 for all t,
     and the loop winds clockwise: in the frame rotating at -omega the
@@ -400,9 +379,14 @@ def josephson_schedule(p: JosephsonParams) -> FieldSchedule:
             f"small against e_ch/2 = {0.5 * p.e_ch:g}",
             stacklevel=2,
         )
+    return _josephson_drive(p)
+
+
+def _josephson_drive(p: JosephsonParams) -> FieldSchedule:
+    """``josephson_schedule`` without its charging-regime warning."""
     cot0 = np.cos(p.chi0) / np.sin(p.chi0)
     omega = p.omega
-    shift = p.e_i * (p.nxc - p.delta)
+    shift = p.z_shift
 
     def field(c, s):
         ej = _josephson_ej(p, c, s)
@@ -443,29 +427,63 @@ def rotation_about_y(angle):
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def _map_field(s: FieldSchedule, f, label, frame=None) -> FieldSchedule:
-    """Apply a pointwise linear map to the field."""
-    return FieldSchedule(
-        field=lambda c, sn: f(s.field(c, sn)), omega=s.omega, label=label, frame=frame
-    )
-
-
 def rotate_schedule(s: FieldSchedule, dchi) -> FieldSchedule:
     """Rigidly rotate the whole field history about the y axis by dchi.
 
     The rotated drive no longer turns about z, so it has no frame.
     """
     r = rotation_about_y(dchi)
-    return _map_field(s, lambda b: b @ r.T, f"rot_y({dchi:g})[{s.label}]")
+    label = f"rot_y({dchi:g})[{s.label}]"
+    return FieldSchedule(lambda c, sn: s.field(c, sn) @ r.T, s.omega, label)
+
+
+def _mapped(s: FieldSchedule, sign, retrace, label) -> FieldSchedule:
+    """The loop of lab field sign B(c, -s) if ``retrace``, else sign B(c, s).
+
+    Its frame winds as w2 = -w if retraced, else w, and sees the field
+    sign (b(c, +-s) - dz z-hat), dz = (w - sign w2) omega.  With dz = 0 (the
+    sign-flipped retrace) an axis n maps to sign n and m to m(c, -s);
+    otherwise only a constant b keeps an axis.
+    """
+    f = s.field
+
+    def field(c, sn):
+        b = f(c, -sn if retrace else sn)
+        return -b if sign < 0 else b
+
+    frame = s.frame
+    if frame is None:
+        return FieldSchedule(field, s.omega, label)
+    fb, n, m, w = frame.field, frame.axis, frame.magnitude, frame.winding
+    w2 = -w if retrace else w
+    dz = (w - sign * w2) * s.omega
+
+    def frame_field(c, sn):
+        b = fb(c, -sn if retrace else sn)
+        if dz:
+            b[..., 2] -= dz
+        if sign < 0:
+            np.negative(b, out=b)
+        return b
+
+    if not dz:
+        m2 = None if m is None else (lambda c, sn: m(c, -sn if retrace else sn))
+        frame = Frame(w2, frame_field, None if n is None else sign * n, m2, frame.constant)
+    elif frame.constant is not None:
+        b = frame.constant * n - np.array([0.0, 0.0, dz])
+        frame = _constant_frame(w2, sign * b)
+    else:
+        frame = Frame(w2, frame_field)
+    return FieldSchedule(field, s.omega, label, frame)
 
 
 def negated_schedule(s: FieldSchedule) -> FieldSchedule:
-    """Sign-flipped field, same traversal order.
+    """Sign-flipped field, same traversal order: B'(c, s) = -B(c, s).
 
     A frame (w, b) maps to the same winding and the in-frame field
     -b + 2 w omega z-hat, which keeps a constant b's fixed axis.
     """
-    return _map_field(s, lambda b: -b, f"negated[{s.label}]", _flipped_frame(s, -1))
+    return _mapped(s, -1, False, f"negated[{s.label}]")
 
 
 def time_reversed_schedule(s: FieldSchedule) -> FieldSchedule:
@@ -475,12 +493,7 @@ def time_reversed_schedule(s: FieldSchedule) -> FieldSchedule:
     A frame (w, b) maps to the winding -w and the in-frame field
     b(c, -s) - 2 w omega z-hat, which keeps a constant b's fixed axis.
     """
-    return FieldSchedule(
-        field=lambda c, sn: s.field(c, -sn),
-        omega=s.omega,
-        label=f"time_reversed[{s.label}]",
-        frame=_flipped_frame(s, +1),
-    )
+    return _mapped(s, +1, True, f"time_reversed[{s.label}]")
 
 
 def reversed_schedule(s: FieldSchedule) -> FieldSchedule:
@@ -489,29 +502,10 @@ def reversed_schedule(s: FieldSchedule) -> FieldSchedule:
     Run after the original loop, this is the second period of the
     echo-style protocol B(2 tau - t) = -B(t).  Applying it twice returns the
     original loop.  A frame (w, b(c, s)) maps to (-w, -b(c, -s)), so a
-    fixed axis n with magnitude m(c, s) maps to -n with m(c, -s).
+    fixed axis n with magnitude m(c, s) maps to -n with m(c, -s), varying
+    or not.
     """
-    frame = s.frame
-    if frame is not None:
-        f, n, m = frame.field, frame.axis, frame.magnitude
-
-        def field(c, sn):
-            b = f(c, -sn)
-            return np.negative(b, out=b)
-
-        frame = Frame(
-            -frame.winding,
-            field,
-            None if n is None else -n,
-            None if m is None else (lambda c, sn: m(c, -sn)),
-            frame.constant,
-        )
-    return FieldSchedule(
-        field=lambda c, sn: -s.field(c, -sn),
-        omega=s.omega,
-        label=f"reversed[{s.label}]",
-        frame=frame,
-    )
+    return _mapped(s, -1, True, f"reversed[{s.label}]")
 
 
 @dataclass(frozen=True)

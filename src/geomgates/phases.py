@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evolve, pauli
-from .fields import FieldSchedule, JosephsonParams, NmrParams, josephson_schedule
+from .fields import FieldSchedule, JosephsonParams, NmrParams, _josephson_drive
 
 __all__ = [
     "CyclicPair",
@@ -155,9 +155,10 @@ def cyclic_pair_josephson(p: JosephsonParams) -> CyclicPair:
 
     Verifies with ``verify_cone`` that the drive actually holds the cone
     angle; raises ValueError if the worst deviation exceeds 1e-9 (e.g. when
-    a conditional z shift is active, which breaks the constant-cone design).
+    a conditional z shift is active, which breaks the constant-cone design,
+    or when B_z - omega keeps too few digits of E_J cot chi0).
     """
-    dev = verify_cone(josephson_schedule(p), p.chi0, p.omega)
+    dev = verify_cone(_josephson_drive(p), p.chi0, p.omega)
     if dev > 1e-9:
         raise ValueError(
             f"drive inconsistent with cone angle chi0={p.chi0:g}: "
@@ -303,16 +304,22 @@ def decompose(
     fin, dyn, u, bloch = evolve.refine(run, criteria, cfg, "phase decomposition")
     u = None if u is None else evolve._unitary_projection(u)
     paths = [None] * len(stack) if bloch is None else bloch
-    parts = []
-    for psi, fin_c, dyn_c, path in zip(stack, fin, map(float, dyn), paths):
-        ov = np.vdot(psi, fin_c)
-        total = float(np.angle(ov))
-        # Rounding can push |<psi0|psi(T)>| a last ulp above 1.
-        defect = 1.0 - min(float(abs(ov)), 1.0)
-        valid = bool(defect <= cyclicity_threshold)
-        geometric = pauli.wrap_pi(total - dyn_c)
-        parts.append(PhaseDecomposition(total, dyn_c, geometric, defect, valid, u, path, route))
+    parts = [
+        _split(psi, fin_c, dyn_c, cyclicity_threshold, u, path, route)
+        for psi, fin_c, dyn_c, path in zip(stack, fin, map(float, dyn), paths)
+    ]
     return tuple(parts) if psi0.ndim == 2 else parts[0]
+
+
+def _split(psi0, psi_tau, dynamical, threshold, unitary, path, route):
+    """The phase split of a loop taking psi0 to psi_tau at that dynamical phase."""
+    ov = np.vdot(psi0, psi_tau)
+    total = float(np.angle(ov))
+    # Rounding can push |<psi0|psi(T)>| a last ulp above 1.
+    defect = 1.0 - min(float(abs(ov)), 1.0)
+    geometric = pauli.wrap_pi(total - dynamical)
+    valid = bool(defect <= threshold)
+    return PhaseDecomposition(total, dynamical, geometric, defect, valid, unitary, path, route)
 
 
 def decompose_loop(
@@ -323,6 +330,8 @@ def decompose_loop(
     with_unitary=False,
 ) -> PhaseDecomposition:
     """``decompose`` for one state (2,), in closed form where one exists.
+
+    Any other shape of ``psi0``, a stack included, raises ValueError.
 
     When the in-frame field of ``s`` has a fixed axis, b = m n (see
     ``fields.Frame``), the one-period propagator is
@@ -367,23 +376,15 @@ def decompose_loop(
     """
     cfg = cfg or evolve.PropagatorConfig()
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (2,):
+        raise ValueError(f"decompose_loop takes one state (2,), got shape {psi0.shape}")
     route, exact = _frame_route(s, psi0, cfg)
     if exact is None:
         in_frame = route == ROUTE_FRAME_LADDER
         return decompose(s, psi0, cfg, cyclicity_threshold, with_unitary, in_frame)
     u, dyn = exact
-    ov = np.vdot(psi0, u @ psi0)
-    total = float(np.angle(ov))
-    defect = 1.0 - min(float(abs(ov)), 1.0)
-    return PhaseDecomposition(
-        total,
-        dyn,
-        pauli.wrap_pi(total - dyn),
-        defect,
-        bool(defect <= cyclicity_threshold),
-        u if with_unitary else None,
-        route=ROUTE_FRAME,
-    )
+    unitary = u if with_unitary else None
+    return _split(psi0, u @ psi0, dyn, cyclicity_threshold, unitary, None, ROUTE_FRAME)
 
 
 def _frame_route(s: FieldSchedule, psi0, cfg):
@@ -408,7 +409,7 @@ def _frame_route(s: FieldSchedule, psi0, cfg):
     # converged.
     if not ulp <= cfg.tolerance * (1.0 if frame.constant is not None else np.sqrt(steps)):
         return ROUTE_LADDER, None
-    if psi0.shape != (2,) or not (ulp <= cfg.tolerance and abs(phi - half) <= cfg.tolerance):
+    if not (ulp <= cfg.tolerance and abs(phi - half) <= cfg.tolerance):
         return ROUTE_FRAME_LADDER, None
     bloch = pauli.bloch_of_state(psi0)
     sigma = 1.0 if float(bloch @ frame.axis) >= 0.0 else -1.0

@@ -239,7 +239,7 @@ def check_route_vs_ladder(cfg: Config):
     charge_controls.append((experiments.josephson_schedule(shifted), starts))
     charge_detail = (
         "3 negated and 3 time-reversed loops and 1 z-shifted loop "
-        f"(d = {shifted.e_i * (shifted.nxc - shifted.delta):g}); "
+        f"(d = {shifted.z_shift:g}); "
         "the echo's mid state and a state off the xz plane"
     )
     return (
@@ -266,7 +266,7 @@ def _nmr_reference(cfg: Config) -> NmrParams:
 
 
 # The conditional charge drive of the route rows: a control in |1> shifts
-# the z field by e_i (nxc - delta).
+# the z field by ``JosephsonParams.z_shift``.
 _CONDITIONAL = {"e_i": 0.5, "nxc": 0.2, "delta": 1}
 
 

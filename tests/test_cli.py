@@ -453,6 +453,23 @@ def test_non_utf8_input_exits_two_with_one_line(tmp_path, fast_ini, bad_file):
     assert "can't decode byte 0xff" in run.stderr
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("junk\n", "line: 1"), ("[fig1]\n  continued\n  again\n", "[line  3]")],
+    ids=["no-section", "continuations"],
+)
+def test_unparsable_ini_exits_two_with_one_line(tmp_path, text, line):
+    # configparser's own message puts the file and each bad line on a line
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    run = _run_python(
+        "-m", "geomgates.cli", "fig1a", "--config", str(ini), "--out", str(tmp_path / "out")
+    )
+    assert run.returncode == 2
+    assert run.stderr.count("\n") == 1
+    assert f"cannot parse {ini}" in run.stderr and line in run.stderr
+
+
 def test_unreadable_gate_spec_exits_two(tmp_path, fast_ini, capsys, monkeypatch):
     spec = tmp_path / "gate.json"
     spec.write_text(json.dumps(_NMR_SPEC))

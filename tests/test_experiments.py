@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -220,3 +221,14 @@ def test_run_gate_error_paths(tmp_path, mini):
     unknown_rule = dict(GATE_SPEC_NMR, reversal="sideways")
     with pytest.raises(ConfigError, match="reversal"):
         experiments.run_gate(mini, _spec_file(tmp_path, unknown_rule), tmp_path)
+
+
+def test_run_gate_warns_of_the_charging_regime_once(tmp_path):
+    # e1 + e2 = 7.8125 is not small against e_ch / 2 = 5
+    doc = {"platform": "josephson", "e1": 1.5625, "e2": 6.25, "e_ch": 10.0, "cos_chi0": 0.75}
+    spec = _spec_file(tmp_path, dict(doc, omega=1.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        experiments.run_gate(load_config(), spec, tmp_path / "out")
+    assert [w.category for w in caught] == [UserWarning]
+    assert "charging-regime assumption violated" in str(caught[0].message)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -186,3 +187,26 @@ def test_loop_phase_values():
     assert abs(phases.loop_phase(np.pi / 2.0) - np.pi) < 1e-15
     assert abs(phases.loop_phase(np.arccos(0.75)) - np.pi / 4.0) < 1e-15
     assert abs(phases.loop_phase(np.arccos(0.25)) - 0.75 * np.pi) < 1e-15
+
+
+def test_cone_check_rejects_a_drive_whose_lab_field_lost_its_digits():
+    # At e2 one ulp above e1, B_z - omega cancels every digit of
+    # E_J cot chi0.  The check rejects the drive at once; a ladder on it
+    # would climb rung after rung before failing.
+    p = fields.JosephsonParams.from_cos_chi0(
+        0.75, e1=1.5625, e2=np.nextafter(1.5625, 2.0), e_ch=39.0625, omega=1.0
+    )
+    assert p.e2 == 1.5625000000000002
+    with pytest.raises(ValueError, match="drive inconsistent with cone angle"):
+        phases.cyclic_pair_josephson(p)
+
+
+def test_cone_check_does_not_repeat_the_charging_regime_warning():
+    p = fields.JosephsonParams.from_cos_chi0(
+        0.75, e1=1.5625, e2=6.25, e_ch=10.0, omega=1.0
+    )
+    with pytest.warns(UserWarning, match="charging-regime"):
+        fields.josephson_schedule(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phases.cyclic_pair_josephson(p).chi == p.chi0

@@ -315,3 +315,20 @@ def test_a_fixed_axis_loop_without_digits_takes_the_lab_ladder():
     cfg = PropagatorConfig(steps_per_period=16, max_refinements=6)
     with pytest.raises(evolve.NonConvergenceError, match="did not converge"):
         phases.decompose_loop(s, phases.cyclic_pair(slow.chi0).psi_plus, cfg)
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        fields.nmr_schedule(NMR),
+        fields.negated_schedule(fields.josephson_schedule(CHARGE)),
+        fields.rotate_schedule(fields.nmr_schedule(NMR), 0.3),
+    ],
+    ids=["closed-form", "frame-ladder", "lab-ladder"],
+)
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2), (4,)], ids=["stack", "stack-of-one", "four"])
+def test_decompose_loop_takes_one_state(accurate, loop, shape):
+    psi = np.zeros(shape, dtype=complex)
+    psi[..., 0] = 1.0
+    with _no_cf4_steps(), pytest.raises(ValueError, match="one state"):
+        phases.decompose_loop(loop, psi, accurate)
