@@ -73,10 +73,10 @@ def _jsonable(v):
 
 def write_json(path, obj):
     """Write a JSON document with sorted keys and a trailing newline."""
+    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
     path = os.fspath(path)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     return path
 
 

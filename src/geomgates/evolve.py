@@ -198,6 +198,15 @@ def _phase_table(n):
     return table
 
 
+def loop_mean(f, n):
+    """Mean of f(c, s) along its first axis over the n grid angles of
+    ``_phase_table(n)``, without the closing one: the periodic trapezoid rule,
+    spectrally accurate for a smooth f (Trefethen & Weideman, SIAM Rev. 56,
+    385 (2014))."""
+    (c, s), _ = _phase_table(n)
+    return np.mean(f(c[:-1], s[:-1]), axis=0)
+
+
 def _step_unitaries(s: FieldSchedule, ts):
     """CF4 step unitaries of one period for H = -(1/2) B . sigma, as SU(2) pairs.
 

@@ -26,11 +26,11 @@ import numpy as np
 from . import __version__
 from .config import Config, ConfigError, Fig2Config
 from .csvio import table_to_json, write_json, write_table
-from .evolve import rotating_frame_oracle, two_qubit_unitary
+from .evolve import loop_mean, rotating_frame_oracle, two_qubit_unitary
 from .fields import (
     JosephsonParams,
     NmrParams,
-    josephson_ej,
+    _josephson_ej,
     josephson_schedule,
     negated_schedule,
     nmr_schedule,
@@ -39,8 +39,7 @@ from .fields import (
 from .gates import REVERSAL_RULES, gate_report_to_json, synthesize_double_loop
 from .pauli import KET0, KET1, angle_dist, bloch_of_state, reduced_bloch, wrap_pi
 from .phases import (
-    _simpson,
-    berry_adiabatic,
+    adiabatic_phase,
     cyclic_pair_josephson,
     cyclic_pair_nmr,
     decompose_loop,
@@ -122,7 +121,7 @@ def fig1_sweep(cfg: Config, variant):
         s = nmr_schedule(p)
         pair = cyclic_pair_nmr(p)
         d = decompose_loop(s, pair.psi_minus, cfg.propagator)
-        adiabatic = wrap_pi(berry_adiabatic(negated_schedule(s)))
+        adiabatic = wrap_pi(adiabatic_phase(negated_schedule(s)))
         return d.geometric, adiabatic, pair.chi, d.cyclicity_defect, d.route
 
     exact = {0: [], 1: []}
@@ -176,13 +175,11 @@ def run_fig1(cfg: Config, variant, out_dir, fmt="csv"):
 # ---------------------------------------------------------------------------
 
 def ej_average(f: Fig2Config):
-    """Loop average of the effective junction energy (drive-speed free).
-
-    Composite Simpson rule on 4,096 uniform steps of one unit-length loop.
-    """
+    """Loop average of the effective junction energy (drive-speed free):
+    its mean over the 4,096 grid angles of the phase table
+    (``evolve.loop_mean``), spectrally accurate for the smooth E_J."""
     p = f.params(f.cos_chi0, 2.0 * np.pi)
-    us = np.linspace(0.0, 1.0, 4097)
-    return float(_simpson(josephson_ej(p, us), us))
+    return float(loop_mean(lambda c, s: _josephson_ej(p, c, s), 4096))
 
 
 def tau0_candidates(f: Fig2Config):
@@ -271,7 +268,7 @@ def fig2c_sweep(cfg: Config, cos_chi0):
         s = josephson_schedule(p)
         pair = cyclic_pair_josephson(p)
         d = decompose_loop(s, pair.psi_plus, cfg.propagator)
-        ga = berry_adiabatic(s)
+        ga = adiabatic_phase(s)
         dev = abs(ga - d.geometric) / abs(d.geometric)
         return tau, d.geometric, ga, dev, d.cyclicity_defect, d.route
 

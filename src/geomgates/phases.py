@@ -46,6 +46,7 @@ __all__ = [
     "decompose_loop",
     "solid_angle",
     "berry_adiabatic",
+    "adiabatic_phase",
     "loop_phase",
 ]
 
@@ -354,9 +355,8 @@ def decompose_loop(
                                     - (1 - cos Phi) z . (n x r0))],
 
     with r_perp = r0 - (n . r0) n.  At r0 = sigma n it is the on-axis value.
-    <m> is the periodic trapezoid rule on the ``cfg.steps_per_period``
-    grid, spectrally accurate for a smooth periodic magnitude.  The result
-    has route "rotating_frame" and no Bloch path.
+    <m> is ``evolve.loop_mean`` on the ``cfg.steps_per_period`` grid.  The
+    result has route "rotating_frame" and no Bloch path.
 
     Every other loop of a schedule with a frame runs the CF4 ladder on the
     in-frame field b (``decompose`` with ``in_frame=True``, route
@@ -396,10 +396,8 @@ def _frame_route(s: FieldSchedule, psi0, cfg):
     if frame.axis is None:
         return ROUTE_FRAME_LADDER, None
     steps = evolve._even(cfg.steps_per_period)
-    grid, _ = evolve._phase_table(steps)
-    m = frame.magnitude(grid[0, :-1], grid[1, :-1])
-    phi = s.period * float(np.mean(m))
-    half = s.period * float(np.mean(m[::2]))
+    phi = s.period * float(evolve.loop_mean(frame.magnitude, steps))
+    half = s.period * float(evolve.loop_mean(frame.magnitude, steps // 2))
     ulp = float(np.spacing(phi))
     # About a fixed axis the ladder's steps commute, so a rung's field angle
     # is a sum of rounded step angles, off by about ulp / sqrt(steps) when m
@@ -488,7 +486,9 @@ def berry_adiabatic(s: FieldSchedule):
     period (the grid of the 4096-step phase table).  This is the phase a
     state pinned to +Bhat would pick up per loop; the anti-aligned member's
     value is obtained by passing the negated schedule.  Raises ValueError
-    if the field magnitude vanishes anywhere on the loop.
+    if the field magnitude vanishes anywhere on the loop.  It is the
+    reference ``verify`` holds ``adiabatic_phase``'s loop mean to, and
+    ``adiabatic_phase`` returns it on every loop the mean does not cover.
     """
     grid, _ = evolve._phase_table(4096)
     b = np.asarray(s.field(*grid), dtype=float)
@@ -497,6 +497,35 @@ def berry_adiabatic(s: FieldSchedule):
         raise ValueError("field magnitude vanishes on the loop; direction undefined")
     unit = b / nb[:, None]
     return solid_angle(unit, closed_atol=1e-8).gamma
+
+
+def adiabatic_phase(s: FieldSchedule):
+    """``berry_adiabatic``'s phase, from a loop mean where the lab azimuth
+    advances uniformly.
+
+    On a frame axis n with n_y = 0 and n_x != 0 the lab field's transverse
+    part is m n_x (cos w wt, sin w wt), so its azimuth is w wt, plus pi
+    where m n_x < 0, and the solid angle is -w pi (1 - <B_z / |B|>) (Berry,
+    Proc. R. Soc. A 392, 45 (1984)): the mean is ``evolve.loop_mean`` on
+    ``berry_adiabatic``'s 4096 grid angles.  There
+    |B|^2 = (m n_x)^2 + (m n_z - w omega)^2 never vanishes.  Every other
+    loop takes ``berry_adiabatic``, and its ValueError.
+    """
+    mean = _adiabatic_mean(s)
+    return berry_adiabatic(s) if mean is None else mean
+
+
+def _adiabatic_mean(s: FieldSchedule):
+    """``adiabatic_phase``'s loop mean, or None where it does not apply."""
+    n = None if s.frame is None else s.frame.axis
+    if n is None or n[1] != 0.0 or n[0] == 0.0:
+        return None
+
+    def cos_b(c, sn):
+        b = s.field(c, sn)
+        return b[..., 2] / np.linalg.norm(b, axis=-1)
+
+    return -s.frame.winding * np.pi * (1.0 - float(evolve.loop_mean(cos_b, 4096)))
 
 
 def loop_phase(chi):

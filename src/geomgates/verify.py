@@ -33,6 +33,7 @@ __all__ = [
     "check_conditional_flatness",
     "check_charge_figure",
     "charge_figure_checks",
+    "check_adiabatic_mean",
     "check_echo_cancellation",
     "check_gate_algebra",
     "check_block_exactness",
@@ -132,6 +133,12 @@ def check_oracle_equivalence(cfg: Config):
 # closed-form route vs ladder
 # ---------------------------------------------------------------------------
 
+def _ends(grid):
+    """The first, middle and last value of a grid."""
+    values = grid.values()
+    return values[0], values[len(values) // 2], values[-1]
+
+
 def _route_rows(tag, schedules, prop):
     """Hold ``decompose_loop``'s closed form to the CF4 ladder.
 
@@ -217,9 +224,8 @@ def check_route_vs_ladder(cfg: Config):
     """
     prop = cfg.propagator
     f = cfg.fig1
-    ratios = f.tau_grid.values()
     nmr = []
-    for r in (ratios[0], ratios[len(ratios) // 2], ratios[-1]):
+    for r in _ends(f.tau_grid):
         for delta in (0, 1):
             p = f.params(r, "a", delta)
             nmr.append((nmr_schedule(p), phases.cyclic_pair_nmr(p)))
@@ -506,6 +512,32 @@ def check_charge_figure(cfg: Config):
 
 
 # ---------------------------------------------------------------------------
+# adiabatic column: loop mean vs solid angle
+# ---------------------------------------------------------------------------
+
+def check_adiabatic_mean(cfg: Config):
+    """``phases.adiabatic_phase``'s loop mean against the solid-angle line
+    integral ``phases.berry_adiabatic`` at the first, middle and last
+    operation time of ``[fig1]`` (the negated rotating drive, both variants
+    and branches) and ``[fig2]`` (both cone angles).  A loop the mean does
+    not cover fails the row (measured inf)."""
+    f, g = cfg.fig1, cfg.fig2
+    tau0 = experiments.tau0_candidates(g)["ej_avg"]
+    loops = [
+        experiments.negated_schedule(nmr_schedule(f.params(r, variant, delta)))
+        for variant in "ab" for r in _ends(f.tau_grid) for delta in (0, 1)
+    ] + [
+        experiments.josephson_schedule(g.params(cos_chi0, 2.0 * np.pi / (r * tau0)))
+        for cos_chi0 in (g.cos_chi0, g.cos_chi0_inset) for r in _ends(g.tau_grid)
+    ]
+    worst = max(
+        math.inf if m is None else angle_dist(m, phases.berry_adiabatic(s))
+        for s, m in zip(loops, map(phases._adiabatic_mean, loops))
+    )
+    return [_le("adiabatic_mean_vs_solid_angle", worst, 1e-12, f"{len(loops)} figure loops")]
+
+
+# ---------------------------------------------------------------------------
 # echo protocol: dynamical cancellation, composite distances
 # ---------------------------------------------------------------------------
 
@@ -694,6 +726,7 @@ ALL_CHECKS = (
     check_antisymmetry,
     check_conditional_flatness,
     check_charge_figure,
+    check_adiabatic_mean,
     check_echo_cancellation,
     check_gate_algebra,
     check_block_exactness,

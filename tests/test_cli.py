@@ -323,6 +323,15 @@ def test_cli_import_parses_nothing():
     assert run.stdout.strip() == "0 0 []"
 
 
+def test_cli_import_builds_no_phase_table():
+    # Phase tables are built on their first use, so a process pays for no
+    # trig table at import.
+    probe = "import geomgates.cli, geomgates.evolve; print(len(geomgates.evolve._TABLES))"
+    run = _run_python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0"
+
+
 def test_diverging_gate_prints_only_the_one_line_error(tmp_path, fast_ini):
     # A loop lasting ~6e300 cannot converge; the error must come without a
     # numerical warning ahead of it.  pytest captures warnings, so this runs

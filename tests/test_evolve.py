@@ -70,6 +70,20 @@ def test_phase_tables_are_read_only_and_bounded():
     assert max(evolve._TABLES) <= evolve._TABLE_MAX_STEPS
 
 
+@pytest.mark.parametrize("n", [16, 18, 4096])
+def test_loop_mean_averages_over_the_open_grid(n):
+    # the periodic trapezoid rule is exact for trig polynomials of degree
+    # below n, and averages each output column along the first axis
+    def f(c, s):
+        return np.stack([np.ones_like(c), c * c, s * c**3, 3.0 + c * s], axis=-1)
+
+    got = evolve.loop_mean(f, n)
+    assert got.shape == (4,)
+    assert np.max(np.abs(got - [1.0, 0.5, 0.0, 3.0])) <= 1e-14
+    # the closing point is left out: a function that reads 1 only at angle 0
+    assert evolve.loop_mean(lambda c, s: (c == 1.0) * 1.0, n) == 1.0 / n
+
+
 def test_rungs_never_sample_the_field_in_time(monkeypatch, quick):
     nmr = fields.nmr_schedule(P)
     jp = fields.JosephsonParams(e1=1.5625, e2=6.25, e_ch=39.0625, chi0=0.7, omega=0.9)
@@ -83,6 +97,7 @@ def test_rungs_never_sample_the_field_in_time(monkeypatch, quick):
         phases.decompose(s, [PSI0, pauli.KET1], quick, with_unitary=True)
         evolve.total_unitary(s, quick)
         phases.berry_adiabatic(s)
+        phases.adiabatic_phase(s)
     assert phases.verify_cone(charge, jp.chi0, jp.omega) <= 1e-12
     phases.cyclic_pair_josephson(jp)
 

@@ -10,6 +10,8 @@ are not compared by hash.
 
 import csv
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -39,9 +41,30 @@ README_GATE = {
 }
 
 
+# A number inside a text cell, such as a verify row's detail.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _check_detail(got, ref):
+    """A verify row's detail: the text around its numbers exactly, integers
+    exactly, and other numbers within ABS or closer than two units of their
+    last printed digit: rounding can flip that digit by one."""
+    assert NUMBER.sub("#", got) == NUMBER.sub("#", ref), f"detail: {got!r} vs {ref!r}"
+    for g, r in zip(NUMBER.findall(got), NUMBER.findall(ref), strict=True):
+        mantissa, _, exp = r.lower().partition("e")
+        if "." not in mantissa and not exp:
+            assert g == r, f"detail: {got!r} vs {ref!r}"
+            continue
+        unit = 10.0 ** (int(exp or 0) - len(mantissa.partition(".")[2]))
+        assert abs(float(g) - float(r)) < max(ABS, 2.0 * unit), f"detail: {got!r} vs {ref!r}"
+
+
 def _check(name, got, ref):
     """``got`` equals ``ref`` exactly, or within the tolerance of ``name``
     where ``ref`` is a number or a table cell holding one."""
+    if name == "detail":
+        _check_detail(got, ref)
+        return
     try:
         r = float(ref)
     except (TypeError, ValueError):  # None, or a name, flag or route
@@ -50,6 +73,9 @@ def _check(name, got, ref):
         assert got == ref, name
         return
     g = float(got)
+    if math.isnan(r):  # a report row's bound
+        assert math.isnan(g), name
+        return
     bound = REL * max(abs(r), 1.0) if any(k in name for k in RAW) else ABS
     assert abs(g - r) <= bound, f"{name}: {g!r} vs {r!r} differ by more than {bound:g}"
 
@@ -120,6 +146,11 @@ def test_fig2c_files_match_their_references(out, name):
 
 def test_sweep_table_matches_its_reference(out):
     _compare_csv(out("sweep") / "sweep.csv", REF / "sweep.csv")
+
+
+def test_verify_table_matches_its_reference(out):
+    # row names, kinds and PASS flags exactly; measured values and bounds at ABS
+    _compare_csv(out("verify") / "verify.csv", REF / "verify.csv")
 
 
 def test_readme_gate_report_matches_its_reference(out, tmp_path):

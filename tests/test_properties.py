@@ -4,6 +4,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -393,3 +394,40 @@ def test_frame_ladder_matches_the_lab_ladder(accurate, p, theta, phi):
         assert abs(framed.dynamical - lab.dynamical) <= bound
         assert angle_dist(framed.geometric, lab.geometric) <= bound
         assert abs(framed.cyclicity_defect - lab.cyclicity_defect) <= bound
+
+
+@given(
+    drive=st.one_of(
+        nmr_params.map(fields.nmr_schedule),
+        charge_drives.map(fields.josephson_schedule),
+    )
+)
+def test_adiabatic_loop_mean_equals_the_solid_angle(drive):
+    for s in (
+        drive,
+        fields.negated_schedule(drive),
+        fields.time_reversed_schedule(drive),
+        fields.reversed_schedule(drive),
+    ):
+        mean, got = phases._adiabatic_mean(s), phases.adiabatic_phase(s)
+        if s.frame.axis is None:
+            # the charge drive's negated and time-reversed loops: no frame axis
+            assert mean is None and got == phases.berry_adiabatic(s)
+            continue
+        assert got == mean
+        # the bound of the verify row adiabatic_mean_vs_solid_angle
+        assert angle_dist(mean, phases.berry_adiabatic(s)) <= 1e-12
+
+
+@given(omega=st.floats(0.5, 3.0), negated=st.booleans())
+def test_adiabatic_phase_of_a_vanishing_field_raises_as_the_solid_angle(omega, negated):
+    # a frame axis off the z axis keeps |B| >= |m n_x| > 0, so only a loop
+    # the mean leaves to the line integral can lose its field direction
+    s = fields.nmr_schedule(fields.NmrParams(omega0=0.0, omega1=0.0, omega=omega))
+    s = fields.negated_schedule(s) if negated else s
+    errors = []
+    for fn in (phases.berry_adiabatic, phases.adiabatic_phase):
+        with pytest.raises(ValueError) as exc:
+            fn(s)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
