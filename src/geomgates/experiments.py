@@ -124,20 +124,7 @@ def fig1_sweep(cfg: Config, variant):
         adiabatic = wrap_pi(adiabatic_phase(negated_schedule(s)))
         return d.geometric, adiabatic, pair.chi, d.cyclicity_defect, d.route
 
-    exact = {0: [], 1: []}
-    adia = {0: [], 1: []}
-    chi = {0: [], 1: []}
-    defect = {0: [], 1: []}
-    routes = []
-    for r in ratios:
-        for delta in (0, 1):
-            g, a, c, cd, route = branch(r, delta)
-            exact[delta].append(g)
-            adia[delta].append(a)
-            chi[delta].append(c)
-            defect[delta].append(cd)
-            routes.append(route)
-
+    exact, adia, chi, defect, routes = zip(*(branch(r, d) for r in ratios for d in (0, 1)))
     params = {
         "experiment": f"fig1{variant}",
         "code_version": __version__,
@@ -148,20 +135,15 @@ def fig1_sweep(cfg: Config, variant):
         **_numerics_meta(cfg),
         "exact_route": _route_meta(routes),
     }
+    # the rows alternate the control branches: branch d's column is v[d::2]
     columns = [("tau_over_tau0", ratios)]
-    for delta in (0, 1):
-        columns.append((f"gamma{delta}_exact", np.array(exact[delta])))
-    for delta in (0, 1):
-        columns.append((f"gamma{delta}_adiabatic", np.array(adia[delta])))
-    for delta in (0, 1):
-        columns.append((f"gamma{delta}_exact_unwrapped", np.unwrap(np.array(exact[delta]))))
-        columns.append(
-            (f"gamma{delta}_adiabatic_unwrapped", np.unwrap(np.array(adia[delta])))
-        )
-    for delta in (0, 1):
-        columns.append((f"chi{delta}", np.array(chi[delta])))
-    for delta in (0, 1):
-        columns.append((f"defect{delta}", np.array(defect[delta])))
+    columns += [(f"gamma{d}_exact", np.array(exact[d::2])) for d in (0, 1)]
+    columns += [(f"gamma{d}_adiabatic", np.array(adia[d::2])) for d in (0, 1)]
+    for d in (0, 1):
+        columns.append((f"gamma{d}_exact_unwrapped", np.unwrap(exact[d::2])))
+        columns.append((f"gamma{d}_adiabatic_unwrapped", np.unwrap(adia[d::2])))
+    columns += [(f"chi{d}", np.array(chi[d::2])) for d in (0, 1)]
+    columns += [(f"defect{d}", np.array(defect[d::2])) for d in (0, 1)]
     return params, columns
 
 
@@ -328,12 +310,7 @@ def run_fig2c(cfg: Config, out_dir, fmt="csv"):
         _write(out_dir, "fig2c", fmt, main[0], main[1]),
         _write(out_dir, "fig2c_inset", fmt, inset[0], inset[1]),
     ]
-    summary = {
-        "code_version": __version__,
-        "main": main[2],
-        "inset": inset[2],
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
+    summary = {"code_version": __version__, "main": main[2], "inset": inset[2]}
     paths.append(Path(write_json(out_dir / "fig2c_crossover.json", summary)))
     report = verify.VerificationReport(
         tuple(verify.charge_figure_checks(main, inset))
@@ -419,13 +396,7 @@ def detuning_sweep(cfg: Config):
         overlap = 0.5 * (1.0 + float(n_control @ bloch_of_state(ref)))
         return blk_row, leak_row, float(np.sqrt(max(overlap, 0.0)))
 
-    fid, blk = [], {0: [], 1: []}
-    leak = {0: [], 1: []}
-    for blk_row, leak_row, fid_val in map(point, detunings):
-        for delta in (0, 1):
-            blk[delta].append(blk_row[delta])
-            leak[delta].append(leak_row[delta])
-        fid.append(fid_val)
+    blk, leak, fid = (np.array(v) for v in zip(*map(point, detunings)))
 
     params = {
         "experiment": "sweep",
@@ -439,11 +410,11 @@ def detuning_sweep(cfg: Config):
     }
     columns = [
         ("detuning", detunings),
-        ("fidelity_control", np.array(fid)),
-        ("block_phase_err0", np.array(blk[0])),
-        ("block_phase_err1", np.array(blk[1])),
-        ("leak_phase_err0", np.array(leak[0])),
-        ("leak_phase_err1", np.array(leak[1])),
+        ("fidelity_control", fid),
+        ("block_phase_err0", blk[:, 0]),
+        ("block_phase_err1", blk[:, 1]),
+        ("leak_phase_err0", leak[:, 0]),
+        ("leak_phase_err1", leak[:, 1]),
     ]
     return params, columns
 

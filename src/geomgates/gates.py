@@ -38,6 +38,8 @@ __all__ = [
     "gate_fidelity",
     "align_phase",
     "max_aligned_deviation",
+    "Composite",
+    "compose",
     "synthesize_double_loop",
     "REVERSAL_RULES",
     "gate_report_to_json",
@@ -187,14 +189,54 @@ class GateReport:
 
 
 def _decomp_dict(d: phases.PhaseDecomposition):
-    return {
-        "total": d.total,
-        "dynamical": d.dynamical,
-        "geometric": d.geometric,
-        "cyclicity_defect": d.cyclicity_defect,
-        "valid": d.valid,
-        "route": d.route,
-    }
+    keys = ("total", "dynamical", "geometric", "cyclicity_defect", "valid", "route")
+    return {k: getattr(d, k) for k in keys}
+
+
+@dataclass(frozen=True)
+class Composite:
+    """What ``compose`` returns (see there)."""
+
+    loops: list
+    unitary: np.ndarray
+    state: np.ndarray
+    dynamical: float
+    geometric: float
+
+
+def compose(sequence, psi0, cfg: evolve.PropagatorConfig | None = None) -> Composite:
+    """Fold a gate's steps, in time order, from the state psi0.
+
+    A step is a ``FieldSchedule`` (one loop) or a fixed 2x2 unitary (a
+    pulse).  Its matrix multiplies the running state and, from the left,
+    the product, which starts as the first step's matrix.  Each loop's
+    phase split and one-period propagator come from one call of
+    ``phases.decompose_loop`` with ``with_unitary=True`` from the running
+    state: in closed form when the loop's in-frame field has a fixed axis
+    and the loop either starts on it or has a constant frame magnitude,
+    else from one refinement ladder whose rungs give both, so no loop is
+    propagated twice.  A loop whose in-frame field has no fixed axis runs
+    that ladder in the co-rotating frame (route "frame_ladder").  Only the
+    first loop is judged cyclic: a later one starts wherever the sequence
+    left the state, so it takes threshold inf and stays valid.
+
+    Returns a ``Composite``: the loops' decompositions in time order, the
+    product, the final running state, the loops' dynamical sum and their
+    geometric sum wrapped to (-pi, pi].
+    """
+    cfg = cfg or evolve.PropagatorConfig()
+    loops, u, psi = [], None, psi0
+    for step in sequence:
+        if isinstance(step, FieldSchedule):
+            judged = {"cyclicity_threshold": np.inf} if loops else {}
+            loops.append(phases.decompose_loop(step, psi, cfg, with_unitary=True, **judged))
+            m = loops[-1].unitary
+        else:
+            m = np.asarray(step, dtype=complex)
+        u = m if u is None else m @ u
+        psi = pauli.normalize(m @ psi)
+    dyn = sum(d.dynamical for d in loops)
+    return Composite(loops, u, psi, dyn, pauli.wrap_pi(sum(d.geometric for d in loops)))
 
 
 def synthesize_double_loop(
@@ -205,35 +247,19 @@ def synthesize_double_loop(
 ) -> GateReport:
     """Run two loops, the second with a reversal rule, and report the gate.
 
-    Each loop's phase split and one-period propagator come from one call
-    of ``phases.decompose_loop`` with ``with_unitary=True``: in closed form
-    when the loop's in-frame field has a fixed axis and the loop either
-    starts on it or has a constant frame magnitude, else from one
-    refinement ladder whose rungs give both, so no loop is propagated
-    twice.  Loop 1 of every shipped drive is closed-form.  So is loop 2 of
-    the default rule, which starts from U1 psi_plus, a multiple of
-    psi_plus, on the reversed frame's axis, and loop 2 of every rule on
-    the NMR drive, whose frame magnitude is constant.  On the charge drive
-    the ``time_reversed`` and ``negated`` loops have an in-frame field
-    without a fixed axis and run the ladder in the co-rotating frame
-    (route "frame_ladder").  The report's loops name their route.  The
-    composite is the product U2 @ U1 of the two loops' propagators, and
-    the second loop starts from U1 psi_plus.  With the
-    literal echo rule (second-loop field -B(tau - t)) U2 is exactly the
-    inverse of U1, so the dynamical phases cancel and the composite
-    collapses to the identity; the report quantifies both facts.  The
-    intended doubled cone gate U(chi, 2 gamma_loop) is used as the
-    comparison target.  Pass a different rule name from REVERSAL_RULES to
-    evaluate protocol variants.
+    The loops are ``compose([s, rule(s)], psi_plus)``, so the composite is
+    U2 @ U1.  On the shipped drives loop 1 is closed-form, and so is loop 2
+    but for the charge drive's ``time_reversed`` and ``negated`` loops,
+    which run the frame ladder.  With the literal echo rule (second-loop
+    field -B(tau - t)) U2 is exactly the inverse of U1, so the dynamical
+    phases cancel and the composite collapses to the identity; the report
+    quantifies both facts.  The intended doubled cone gate
+    U(chi, 2 gamma_loop) is the comparison target.  Pass a different rule
+    name from REVERSAL_RULES to evaluate protocol variants.
     """
-    cfg = cfg or evolve.PropagatorConfig()
-    second = REVERSAL_RULES[reversal](s)
-
-    d1 = phases.decompose_loop(s, pair.psi_plus, cfg, with_unitary=True)
-    mid = pauli.normalize(d1.unitary @ pair.psi_plus)
-    d2 = phases.decompose_loop(second, mid, cfg, cyclicity_threshold=np.inf, with_unitary=True)
-
-    u = d2.unitary @ d1.unitary
+    c = compose([s, REVERSAL_RULES[reversal](s)], pair.psi_plus, cfg)
+    d1, d2 = c.loops
+    u = c.unitary
     fin = u @ pair.psi_plus
     # Rounding can push the fidelity a last ulp above 1, as in ``decompose``.
     composite_defect = 1.0 - min(pauli.state_fidelity(pair.psi_plus, fin), 1.0)
@@ -243,16 +269,14 @@ def synthesize_double_loop(
     eye = np.eye(2, dtype=complex)
     deviation_identity = max_aligned_deviation(eye, u)
 
-    dyn_sum = d1.dynamical + d2.dynamical
-    geo_sum = pauli.wrap_pi(d1.geometric + d2.geometric)
-    report = GateReport(
+    return GateReport(
         label=f"double_loop[{s.label}]",
         chi=pair.chi,
         matrix=u,
         loop1=_decomp_dict(d1),
         loop2=_decomp_dict(d2),
-        dynamical_sum=float(dyn_sum),
-        geometric_sum=float(geo_sum),
+        dynamical_sum=float(c.dynamical),
+        geometric_sum=float(c.geometric),
         composite_defect=float(composite_defect),
         target_gamma=float(target_gamma),
         fidelity_target=gate_fidelity(target, u),
@@ -260,13 +284,12 @@ def synthesize_double_loop(
         deviation_target=max_aligned_deviation(target, u),
         deviation_identity=deviation_identity,
         flags={
-            "dynamical_cancelled": bool(abs(dyn_sum) <= 1e-6),
+            "dynamical_cancelled": bool(abs(c.dynamical) <= 1e-6),
             "identity_reached": bool(deviation_identity <= 1e-6),
             "cyclic": bool(composite_defect <= 1e-6),
             "reversal": reversal,
         },
     )
-    return report
 
 
 def gate_report_to_json(report: GateReport, path):

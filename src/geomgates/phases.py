@@ -355,7 +355,7 @@ def decompose_loop(
                                     - (1 - cos Phi) z . (n x r0))],
 
     with r_perp = r0 - (n . r0) n.  At r0 = sigma n it is the on-axis value.
-    <m> is ``evolve.loop_mean`` on the ``cfg.steps_per_period`` grid.  The
+    <m> is the mean over the ``cfg.steps_per_period`` grid angles.  The
     result has route "rotating_frame" and no Bloch path.
 
     Every other loop of a schedule with a frame runs the CF4 ladder on the
@@ -396,8 +396,9 @@ def _frame_route(s: FieldSchedule, psi0, cfg):
     if frame.axis is None:
         return ROUTE_FRAME_LADDER, None
     steps = evolve._even(cfg.steps_per_period)
-    phi = s.period * float(evolve.loop_mean(frame.magnitude, steps))
-    half = s.period * float(evolve.loop_mean(frame.magnitude, steps // 2))
+    (c, sn), _ = evolve._phase_table(steps)
+    m = frame.magnitude(c[:-1], sn[:-1])  # every other angle is the n/2 grid's
+    phi, half = (s.period * float(np.mean(v)) for v in (m, m[::2]))
     ulp = float(np.spacing(phi))
     # About a fixed axis the ladder's steps commute, so a rung's field angle
     # is a sum of rounded step angles, off by about ulp / sqrt(steps) when m

@@ -1,5 +1,6 @@
 import configparser
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,17 @@ def test_with_numerics_validates(cfg):
         cfg.with_numerics(steps=4)
     with pytest.raises(config.ConfigError):
         cfg.with_numerics(tol=float("inf"))
+
+
+def test_fig1_params_scale_with_the_coupling(cfg):
+    # the packaged coupling is 1, where omega1_a * J and omega1_a / J agree
+    f = replace(cfg.fig1, coupling_j=2.0, omega1_a=3.0)
+    for delta in (0, 1):
+        a, b = f.params(4.0, "a", delta), f.params(4.0, "b", delta)
+        for p in (a, b):
+            assert (p.omega0, p.omega, p.j, p.delta) == (f.omega0, f.omega0 / 4.0, 2.0, delta)
+        assert a.omega1 == 6.0
+        assert b.omega1 == 2.0 - f.omega0 / 4.0
 
 
 def test_config_is_immutable(cfg):

@@ -241,6 +241,33 @@ def test_params_reject_overflowing_drives(make, message):
         make()
 
 
+# E_J spans [2e153, 4e153] and cot chi0 = 2, so |B|^2 reaches the float
+# maximum near a z shift of -1.73e154 at the low end of the range, and of
+# 4.8e153 at the high end; each pair sits on either side of that edge
+_EDGE = dict(e1=1e153, e2=3e153, e_ch=1.0, chi0=float(np.arctan2(1.0, 2.0)), omega=1.0, nxc=1.0)
+
+
+@pytest.mark.parametrize(
+    "inside, outside, end",
+    [(-1.70e154, -1.75e154, "low"), (4.5e153, 5.0e153, "high")],
+    ids=["low-end", "high-end"],
+)
+def test_charge_field_overflow_edge_at_each_end_of_the_junction_range(inside, outside, end):
+    ends = {"low": 2e153, "high": 4e153}
+
+    def b2(e_j, shift):
+        z = 2.0 * e_j + 1.0 + shift
+        return e_j * e_j + z * z
+
+    # the named end binds: only its |B|^2 overflows outside the edge
+    other = ends["high" if end == "low" else "low"]
+    assert b2(ends[end], inside) < float("inf") and b2(other, outside) < float("inf")
+    assert b2(ends[end], outside) == float("inf")
+    fields.JosephsonParams(**_EDGE, e_i=inside)
+    with pytest.raises(ValueError, match="the drive field overflows a float"):
+        fields.JosephsonParams(**_EDGE, e_i=outside)
+
+
 @pytest.mark.parametrize(
     "e1, e2, e_ch",
     [(1e-307, 4e-307, 5e-307), (1e-170, 4e-170, 5e-170), (3e-160, 1e-160, 1e-150)],

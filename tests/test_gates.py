@@ -224,6 +224,38 @@ def test_reconstruct_rejects_noncyclic_pair(accurate):
     assert phases.verify_cyclic(s, wrong, accurate) > 1e-6
 
 
+def test_compose_folds_loops_and_pulses_in_time_order(accurate):
+    # the echo P U2 P U1 with a pi pulse about y; loop 2 starts off its axis
+    s = fields.nmr_schedule(P)
+    s2 = fields.time_reversed_schedule(s)
+    psi0 = phases.cyclic_pair_nmr(P).psi_plus
+    pulse = pauli.expm_pauli(np.array([0.0, 1.0, 0.0]), 0.5 * np.pi)
+    comp = gates.compose([s, pulse, s2, pulse], psi0, accurate)
+
+    d1 = phases.decompose_loop(s, psi0, accurate, with_unitary=True)
+    mid = pauli.normalize(pulse @ pauli.normalize(d1.unitary @ psi0))
+    d2 = phases.decompose_loop(s2, mid, accurate, cyclicity_threshold=np.inf, with_unitary=True)
+    assert comp.loops == [d1, d2]
+    for got, want in zip(comp.loops, (d1, d2)):
+        assert np.array_equal(got.unitary, want.unitary)
+    u = pulse @ d2.unitary @ pulse @ d1.unitary
+    assert np.max(np.abs(comp.unitary - u)) <= 1e-15
+    assert np.max(np.abs(comp.state - u @ psi0)) <= 1e-15
+    assert comp.dynamical == d1.dynamical + d2.dynamical
+    assert comp.geometric == pauli.wrap_pi(d1.geometric + d2.geometric)
+
+
+def test_compose_judges_only_the_first_loop_cyclic(accurate):
+    # a loop started off its cyclic pair is not valid first, but a later
+    # loop starts wherever the sequence left the state
+    s = fields.nmr_schedule(P)
+    off = pauli.state_of_angles(1.0, 0.5)
+    assert not gates.compose([s], off, accurate).loops[0].valid
+    pulse = pauli.expm_pauli(np.array([0.0, 1.0, 0.0]), 0.3)
+    comp = gates.compose([pulse, s, s], phases.cyclic_pair_nmr(P).psi_plus, accurate)
+    assert [d.valid for d in comp.loops] == [False, True]
+
+
 def test_double_loop_echo_cancels_dynamical_phase(accurate):
     s = fields.nmr_schedule(P)
     pair = phases.cyclic_pair_nmr(P)

@@ -139,6 +139,25 @@ def test_solid_angle_analytic_circle():
     assert abs(rev.gamma + res.gamma) < 1e-9
 
 
+@pytest.mark.parametrize("a", [0.3, 0.8, 1.2])
+def test_solid_angle_on_a_circle_through_the_pole(a, monkeypatch):
+    # a counterclockwise circle of angular radius a whose edge touches the
+    # north pole; its first and last samples sit on the pole, where the
+    # azimuth is undefined and the nearest sample's fills in
+    t = np.linspace(0.0, 2.0 * np.pi, 4097)
+    centre = np.array([np.sin(a), 0.0, np.cos(a)])
+    e1, e2 = np.array([-np.cos(a), 0.0, np.sin(a)]), np.array([0.0, -1.0, 0.0])
+    path = np.cos(a) * centre + np.sin(a) * (np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2)
+    path[0] = path[-1] = (0.0, 0.0, 1.0)
+    filled = []
+    fill = phases._nearest_fill
+    monkeypatch.setattr(phases, "_nearest_fill", lambda v, g: filled.append(g) or fill(v, g))
+    res = phases.solid_angle(path)
+    assert len(filled) == 1 and not filled[0][0] and not filled[0][-1]
+    assert abs(res.gamma - (-np.pi * (1.0 - np.cos(a)))) < 1e-9
+    assert res.winding == 0 and res.theta_min == 0.0
+
+
 def test_solid_angle_rejects_open_path():
     theta = 1.1
     phi = np.linspace(0.0, 1.5 * np.pi, 100)
