@@ -73,7 +73,8 @@ class NonConvergenceError(RuntimeError):
 class PropagatorConfig:
     """Numerical controls for the steppers.
 
-    steps_per_period : base number of steps per schedule period (>= 16)
+    steps_per_period : base number of steps per schedule period (even,
+                       >= 16)
     tolerance        : max state-component change between refinements
                        (finite and positive)
     max_refinements  : doublings allowed before giving up
@@ -84,9 +85,9 @@ class PropagatorConfig:
     max_refinements: int = 12
 
     def __post_init__(self):
-        if self.steps_per_period < 16:
+        if self.steps_per_period < 16 or self.steps_per_period % 2:
             raise ValueError(
-                f"steps_per_period must be at least 16, got {self.steps_per_period}"
+                f"steps_per_period must be even and at least 16, got {self.steps_per_period}"
             )
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
@@ -133,18 +134,13 @@ def _state_change(a, b, cfg: PropagatorConfig, name="state"):
     return (name, float(np.max(np.abs(b - a))), cfg.tolerance, "")
 
 
-def _even(n):
-    n = max(int(n), 2)
-    return n if n % 2 == 0 else n + 1
-
-
 def time_grid(s: FieldSchedule, steps_per_period):
     """Uniform step grid over one period [0, s.period].
 
-    The step count is even, so Simpson quadrature and stride-2
-    subsampling stay aligned.
+    ``PropagatorConfig`` keeps the step count even, so Simpson quadrature
+    and stride-2 subsampling stay aligned.
     """
-    return np.linspace(0.0, s.period, _even(steps_per_period) + 1)
+    return np.linspace(0.0, s.period, steps_per_period + 1)
 
 
 # CF4 Gauss-node offsets (fractions of the step) and combination weights.

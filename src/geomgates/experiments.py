@@ -524,11 +524,5 @@ def run_verify(cfg: Config, out_dir, fmt="csv"):
     from . import verify  # lazy: verify imports this module at top level
 
     report = verify.run_all(cfg)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        path = Path(write_json(out_dir / "verify.json", report.to_doc()))
-    else:
-        params = {"experiment": "verify", "code_version": __version__}
-        path = _write(out_dir, "verify", fmt, params, report.to_columns())
-    return path, report
+    params = {"experiment": "verify", "code_version": __version__}
+    return _write(out_dir, "verify", fmt, params, report.to_columns()), report

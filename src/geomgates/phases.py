@@ -395,7 +395,7 @@ def _frame_route(s: FieldSchedule, psi0, cfg):
         return ROUTE_LADDER, None
     if frame.axis is None:
         return ROUTE_FRAME_LADDER, None
-    steps = evolve._even(cfg.steps_per_period)
+    steps = cfg.steps_per_period
     (c, sn), _ = evolve._phase_table(steps)
     m = frame.magnitude(c[:-1], sn[:-1])  # every other angle is the n/2 grid's
     phi, half = (s.period * float(np.mean(v)) for v in (m, m[::2]))

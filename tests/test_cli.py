@@ -51,6 +51,26 @@ def test_fig1b_writes_csv(tmp_path, fast_ini, capsys):
     assert "fig1b.csv" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source", ["flag", "ini"])
+def test_odd_steps_per_period_exits_two(tmp_path, fast_ini, capsys, source):
+    # an odd count would be rounded up, so the header would misreport it
+    argv = ["fig1b", "--config", str(fast_ini), "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--steps", "17"]
+    else:
+        cp = configparser.ConfigParser()
+        cp.read(fast_ini)
+        cp.set("numerics", "steps_per_period", "17")
+        with open(fast_ini, "w") as fh:
+            cp.write(fh)
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "steps_per_period must be even and at least 16, got 17" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_steps_and_tol_overrides_land_in_header(tmp_path, fast_ini):
     out = tmp_path / "out"
     rc = cli.main(

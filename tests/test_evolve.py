@@ -145,6 +145,8 @@ def test_bloch_integrate_follows_state_propagation(quick):
 def test_propagator_config_validation():
     with pytest.raises(ValueError):
         evolve.PropagatorConfig(steps_per_period=8)
+    with pytest.raises(ValueError, match="even"):
+        evolve.PropagatorConfig(steps_per_period=17)
     with pytest.raises(ValueError):
         evolve.PropagatorConfig(tolerance=float("inf"))
     with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 Each test runs one subcommand in-process on the packaged config and
 compares its file with the reference: headers, column and key names,
-flags, routes and labels exactly, numbers at a stated tolerance.  A
+flags, routes and labels exactly, numbers at a stated tolerance.  ``fig2b``
+has no reference file; its trace is held to one drive period.  A
 change that moves a packaged output updates its reference file in the
 same change.  Bits may differ across numpy and BLAS builds, so numbers
 are not compared by hash.
@@ -43,20 +44,27 @@ README_GATE = {
 
 # A number inside a text cell, such as a verify row's detail.
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# The text that introduces a computed number in a detail: a target phase,
+# a geometric sum, a crossover ratio.  Every other number is an input (a
+# drive parameter, a count, a grid end) and is printed from the config.
+COMPUTED = ("target ", "geometric sum ", "] = ")
 
 
 def _check_detail(got, ref):
-    """A verify row's detail: the text around its numbers exactly, integers
-    exactly, and other numbers within ABS or closer than two units of their
-    last printed digit: rounding can flip that digit by one."""
+    """A verify row's detail: the text around its numbers and its input
+    numbers exactly, computed numbers within ABS or one unit of their last
+    printed digit: rounding can flip that digit by one."""
     assert NUMBER.sub("#", got) == NUMBER.sub("#", ref), f"detail: {got!r} vs {ref!r}"
-    for g, r in zip(NUMBER.findall(got), NUMBER.findall(ref), strict=True):
-        mantissa, _, exp = r.lower().partition("e")
-        if "." not in mantissa and not exp:
+    for g, m in zip(NUMBER.findall(got), NUMBER.finditer(ref), strict=True):
+        r = m.group()
+        if not ref[: m.start()].endswith(COMPUTED):
             assert g == r, f"detail: {got!r} vs {ref!r}"
             continue
+        mantissa, _, exp = r.lower().partition("e")
         unit = 10.0 ** (int(exp or 0) - len(mantissa.partition(".")[2]))
-        assert abs(float(g) - float(r)) < max(ABS, 2.0 * unit), f"detail: {got!r} vs {ref!r}"
+        # the digits differ by a whole number of units; allow for the
+        # rounding of their difference
+        assert abs(float(g) - float(r)) <= max(ABS, 1.001 * unit), f"detail: {got!r} vs {ref!r}"
 
 
 def _check(name, got, ref):
@@ -144,6 +152,18 @@ def test_fig2c_files_match_their_references(out, name):
     compare(out("fig2c") / name, REF / name)
 
 
+def test_fig2b_trace_spans_one_drive_period(out):
+    # fig2b has no reference file: its header's omega tau is one turn, and
+    # its last field row, at t = tau, is its first
+    params, names, rows = _csv(out("fig2b") / "fig2b.csv")
+    params = dict(params)
+    assert abs(float(params["omega"]) * float(params["tau"]) - 2.0 * math.pi) <= 1e-12
+    first, last = (dict(zip(names, map(float, row), strict=True)) for row in (rows[0], rows[-1]))
+    assert last["t"] == float(params["tau"])
+    for b in ("Bx", "By", "Bz"):
+        assert abs(last[b] - first[b]) <= 1e-12, b
+
+
 def test_sweep_table_matches_its_reference(out):
     _compare_csv(out("sweep") / "sweep.csv", REF / "sweep.csv")
 
@@ -151,6 +171,19 @@ def test_sweep_table_matches_its_reference(out):
 def test_verify_table_matches_its_reference(out):
     # row names, kinds and PASS flags exactly; measured values and bounds at ABS
     _compare_csv(out("verify") / "verify.csv", REF / "verify.csv")
+
+
+def test_verify_json_holds_the_verify_table(out):
+    # --format json writes the table's parameters and columns, as for
+    # every other table
+    params, names, rows = _csv(out("verify") / "verify.csv")
+    doc = json.loads((out("verify", "--format", "json") / "verify.json").read_text("utf-8"))
+    assert doc["params"] == dict(params)
+    assert sorted(doc["columns"]) == sorted(names)
+    table = dict(zip(names, map(list, zip(*rows, strict=True)), strict=True))
+    for name in ("name", "kind", "detail"):
+        assert doc["columns"][name] == table[name], name
+    assert ["true" if p else "false" for p in doc["columns"]["passed"]] == table["passed"]
 
 
 def test_readme_gate_report_matches_its_reference(out, tmp_path):

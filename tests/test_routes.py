@@ -166,14 +166,15 @@ def test_routed_callers_run_no_cf4_step(mini):
 @pytest.mark.parametrize(
     "run",
     [
-        # a time-reversed charge loop has no frame: loop 2 of the control rule
+        # a time-reversed charge loop has a frame without a fixed axis: loop 2
+        # of the control rule
         lambda cfg: gates.synthesize_double_loop(
             fields.josephson_schedule(CHARGE),
             phases.cyclic_pair_josephson(CHARGE),
             cfg,
             "time_reversed",
         ),
-        # a z-shifted charge drive has no frame
+        # a z-shifted charge drive has a frame without a fixed axis
         lambda cfg: phases.decompose_loop(
             fields.josephson_schedule(replace(CHARGE, e_i=0.5, nxc=0.2)),
             phases.cyclic_pair(CHARGE.chi0).psi_plus,
@@ -297,11 +298,15 @@ def test_gate_report_names_each_loop_route(tmp_path, cfg):
 def test_echo_info_rows_report_one_minus_fidelity(cfg):
     rows = {r.name: r for r in verify.check_echo_cancellation(cfg)}
     for tag in ("rotating_drive", "charge_drive"):
-        for name in (f"echo_distance_to_identity_{tag}", f"echo_distance_to_doubled_target_{tag}"):
-            row = rows[name]
-            assert row.kind == "report" and 0.0 <= row.measured <= 1.0
-            assert row.detail.startswith("aligned deviation ")
-    # the charge drive's doubled target is traceless: fidelity ~0, distance ~1
+        identity = rows[f"echo_distance_to_identity_{tag}"]
+        target = rows[f"echo_distance_to_doubled_target_{tag}"]
+        assert identity.kind == target.kind == "report"
+        # the literal echo's composite is the identity
+        assert 0.0 <= identity.measured <= 1e-12 and identity.detail == ""
+        assert 0.0 <= target.measured <= 1.0 and target.detail.startswith("geometric sum ")
+    # the rotating drive's doubled target is not the identity, and the
+    # charge drive's is traceless: fidelity ~0, distance ~1
+    assert rows["echo_distance_to_doubled_target_rotating_drive"].measured >= 0.1
     assert abs(rows["echo_distance_to_doubled_target_charge_drive"].measured - 1.0) <= 1e-12
 
 
